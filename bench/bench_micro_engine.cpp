@@ -392,7 +392,7 @@ void BM_ControlPlaneTemplate(benchmark::State& state) {
   }
   for (auto _ : state) {
     if (warm) {
-      const auto tmpl = store.lookup(key);
+      const auto tmpl = *store.lookup(key);
       std::vector<core::WorkUnit> units = tmpl->units();
       std::vector<std::vector<core::WorkUnitId>> table = tmpl->assignment();
       benchmark::DoNotOptimize(table);

@@ -1,19 +1,6 @@
 #include "exp/calibrate.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
-#include <sstream>
-
-#include "common/log.hpp"
-
 namespace frieda::exp {
-
-namespace {
-constexpr const char* kCalibrationHeader = "frieda-calibration v1";
-}  // namespace
 
 void CostCalibrator::observe(const std::string& key, double raw_cost, double wall_seconds) {
   if (raw_cost <= 0.0 || wall_seconds <= 0.0) return;
@@ -46,97 +33,8 @@ void CostCalibrator::clear() {
   rate_.clear();
 }
 
-bool CostCalibrator::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;  // cold start: a missing file is the normal case
-  std::string line;
-  if (!std::getline(in, line) || line != kCalibrationHeader) {
-    FLOG(kWarn, "calibrate",
-         "ignoring calibration file '" << path << "': missing '" << kCalibrationHeader
-                                       << "' header");
-    return false;
-  }
-  std::size_t loaded = 0;
-  std::size_t skipped = 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto tab = line.find('\t');
-    bool ok = tab != std::string::npos && tab > 0;
-    double rate = 0.0;
-    if (ok) {
-      const std::string value = line.substr(tab + 1);
-      char* end = nullptr;
-      rate = std::strtod(value.c_str(), &end);
-      ok = end != value.c_str() && *end == '\0' && std::isfinite(rate) && rate > 0.0;
-    }
-    if (!ok) {
-      ++skipped;
-      continue;
-    }
-    // In-process observations are fresher than anything on disk.
-    if (rate_.try_emplace(line.substr(0, tab), rate).second) ++loaded;
-  }
-  if (skipped > 0) {
-    FLOG(kWarn, "calibrate",
-         "calibration file '" << path << "': skipped " << skipped << " malformed line"
-                              << (skipped == 1 ? "" : "s"));
-  }
-  return loaded > 0 || skipped == 0;
-}
-
-bool CostCalibrator::save_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ostringstream body;
-    body << kCalibrationHeader << "\n";
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const auto& [key, rate] : rate_) body << key << "\t" << rate << "\n";
-    }
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out || !(out << body.str()) || !out.flush()) {
-      FLOG(kWarn, "calibrate", "could not write calibration file '" << tmp << "'");
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    FLOG(kWarn, "calibrate",
-         "could not move calibration file into place at '" << path << "'");
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-void CostCalibrator::set_persist_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  persist_path_ = std::move(path);
-}
-
-std::string CostCalibrator::persist_path() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return persist_path_;
-}
-
-bool CostCalibrator::save_if_persistent() const {
-  const auto path = persist_path();
-  if (path.empty()) return false;
-  return save_file(path);
-}
-
 CostCalibrator& CostCalibrator::global() {
   static CostCalibrator calibrator;
-  static std::once_flag env_once;
-  std::call_once(env_once, [] {
-    if (const char* env = std::getenv("FRIEDA_CALIBRATION_FILE")) {
-      if (*env != '\0') {
-        calibrator.set_persist_path(env);
-        calibrator.load_file(env);
-      }
-    }
-  });
   return calibrator;
 }
 

@@ -49,47 +49,17 @@ class CostCalibrator {
   /// Number of classes with a learned rate.
   std::size_t classes() const;
 
-  /// Drop all learned rates (test isolation).  Keeps the persist path.
+  /// Drop all learned rates (test isolation).
   void clear();
-
-  // -- On-disk persistence (so repeated CI sweeps start warm) -------------
-  //
-  // The file is a versioned text format: a "frieda-calibration v1" header
-  // line, then one "<class-key>\t<rate>" line per class, sorted by key.
-  // Calibration only reorders dispatch, so a stale or corrupt file can
-  // never change results — malformed lines are skipped with a kWarn.
-
-  /// Merge rates from `path` into this calibrator.  File rates seed classes
-  /// that have no in-process observation yet; classes already observed keep
-  /// their measured rate (fresher signal wins).  Returns false — after a
-  /// kWarn — when the file cannot be read or carries the wrong header; a
-  /// missing file is a silent, normal cold start (returns false quietly).
-  bool load_file(const std::string& path);
-
-  /// Atomically write every learned rate to `path` (temp file + rename).
-  /// Returns false after a kWarn when the file cannot be written.
-  bool save_file(const std::string& path) const;
-
-  /// Attach a persistence path ("" detaches).  `save_if_persistent` then
-  /// rewrites the file; SweepRunner calls it after feeding a grid's
-  /// measured wall times back.
-  void set_persist_path(std::string path);
-  std::string persist_path() const;
-
-  /// save_file(persist_path()) when a path is attached; no-op otherwise.
-  bool save_if_persistent() const;
 
   /// The process-wide calibrator: `Grid` consults it when building jobs and
   /// `SweepRunner` feeds it measured wall times, so grid N+1 schedules with
-  /// what grid N measured.  First use honors `FRIEDA_CALIBRATION_FILE`:
-  /// when set (non-empty), rates are loaded from that file at startup and
-  /// saved back on every sweep completion.
+  /// what grid N measured.  Rates live for the process only.
   static CostCalibrator& global();
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, double> rate_;  ///< key -> seconds per raw unit
-  std::string persist_path_;            ///< "" = persistence off
 };
 
 }  // namespace frieda::exp

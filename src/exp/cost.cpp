@@ -27,11 +27,4 @@ double scenario_cost(const char* app, bool sequential,
   return units / slots;
 }
 
-std::optional<Fingerprint> scenario_template_fingerprint(
-    const char* app, core::PlacementStrategy strategy,
-    const workload::PaperScenarioOptions& opt) {
-  if (!workload::templatable(opt)) return std::nullopt;
-  return workload::template_fingerprint(app, strategy, opt);
-}
-
 }  // namespace frieda::exp

@@ -34,15 +34,4 @@ std::optional<Fingerprint> scenario_fingerprint(const char* app, const char* mod
 double scenario_cost(const char* app, bool sequential,
                      const workload::PaperScenarioOptions& opt);
 
-/// Execution-template key of a paper-scenario job — the control-plane
-/// analogue of `scenario_fingerprint`.  Where the result-cache key hashes
-/// *every* field (a seed change is a different result), the template key
-/// hashes only the structural ones (app, strategy, scale, NIC), so
-/// seed-/worker-shape-only reruns share one template and patch the rest
-/// (see frieda/template.hpp).  nullopt when the options carry an `arrange`
-/// hook, which no captured decision set can cover.
-std::optional<Fingerprint> scenario_template_fingerprint(
-    const char* app, core::PlacementStrategy strategy,
-    const workload::PaperScenarioOptions& opt);
-
 }  // namespace frieda::exp

@@ -9,13 +9,14 @@
 // instead of re-simulating them.  Ablation drivers that re-run a shared
 // baseline (e.g. the scale-0.2 real-time run) pay for it once.
 //
-// The cache is bounded: at most `max_entries()` results are retained, with
-// least-recently-used eviction (a lookup hit or re-insert refreshes the
-// entry).  The default cap is generous — today's full ablation suite is a
-// few dozen cells — but it means a long-lived service sweeping millions of
-// configurations cannot grow the cache without bound.  `evictions()`
-// counts the entries discarded, and the sweep runner mirrors the delta
-// into its `sweep.cache_evictions` metric.
+// The cache is a bounded LruCache (common/lru_cache.hpp — the same store
+// core::TemplateStore uses): at most `max_entries()` results are retained,
+// with least-recently-used eviction (a lookup hit or re-insert refreshes
+// the entry).  The default cap is generous — today's full ablation suite
+// is a few dozen cells — but it means a long-lived service sweeping
+// millions of configurations cannot grow the cache without bound.
+// `evictions()` counts the entries discarded, and the sweep runner mirrors
+// the delta into its `sweep.cache_evictions` metric.
 //
 // Thread safety: all members are mutex-synchronized; values are returned
 // *by copy* so a cached report can never be mutated or invalidated under a
@@ -25,12 +26,12 @@
 //
 // Persistence (FRIEDA_RESULT_CACHE_FILE): a cache with codecs attached via
 // `set_persistence` can load a versioned entry file at startup and
-// checkpoint itself atomically (temp + rename, the FRIEDA_CALIBRATION_FILE
-// pattern) when a sweep completes, so an interrupted CI sweep resumes from
-// its surviving cells instead of re-simulating them.  Loading inserts only
-// keys the cache does not already hold — in-process entries win on
-// conflict — and entries whose payload fails to decode are skipped with a
-// warning, never trusted.  The file format is:
+// checkpoint itself atomically (temp file + rename) when a sweep
+// completes, so an interrupted CI sweep resumes from its surviving cells
+// instead of re-simulating them.  Loading inserts only keys the cache does
+// not already hold — in-process entries win on conflict — and entries
+// whose payload fails to decode (or whose length field is corrupt) are
+// skipped with a warning, never trusted.  The file format is:
 //
 //   frieda-result-cache v1
 //   <32-hex fingerprint> <payload bytes>\n<payload>\n     (one per entry)
@@ -44,100 +45,27 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <list>
-#include <map>
+#include <limits>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
+#include "common/lru_cache.hpp"
 
 namespace frieda::exp {
 
 template <typename R>
-class ResultCache {
+class ResultCache : public LruCache<Fingerprint, R> {
  public:
   /// Default entry cap — far above today's grid sizes (the full ablation
   /// suite is < 100 cells) while bounding a runaway sweep's footprint.
   static constexpr std::size_t kDefaultMaxEntries = 4096;
 
   explicit ResultCache(std::size_t max_entries = kDefaultMaxEntries)
-      : max_entries_(max_entries) {}
-
-  /// Copy of the cached value, or nullopt on miss.  A hit refreshes the
-  /// entry's recency.  Counts toward the hit/miss statistics.
-  std::optional<R> lookup(const Fingerprint& key) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return std::nullopt;
-    }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to MRU position
-    return it->second->second;
-  }
-
-  /// Store `value` under `key`.  The first insert wins (identical keys mean
-  /// identical values, so re-inserting would only copy for nothing — but it
-  /// still refreshes the entry's recency); returns whether the entry was
-  /// new.  May evict the least-recently-used entry when over the cap.
-  bool insert(const Fingerprint& key, const R& value) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return false;
-    }
-    lru_.emplace_front(key, value);
-    map_.emplace(key, lru_.begin());
-    trim();
-    return true;
-  }
-
-  /// Change the entry cap (0 = unbounded).  Shrinking below the current
-  /// size evicts the LRU tail immediately.
-  void set_max_entries(std::size_t cap) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    max_entries_ = cap;
-    trim();
-  }
-
-  std::size_t max_entries() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return max_entries_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.size();
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
-  }
-
-  /// Lifetime lookup statistics (for tests and progress lines).
-  std::uint64_t hits() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-  }
-  std::uint64_t misses() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-  }
-
-  /// Entries evicted by the LRU cap over this cache's lifetime (clear()
-  /// does not count as eviction).
-  std::uint64_t evictions() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
-  }
+      : LruCache<Fingerprint, R>(max_entries) {}
 
   /// Value codec for persistence.  The serializer must render a value that
   /// `deserialize` restores field-identically (see frieda/report_io.hpp);
@@ -148,7 +76,7 @@ class ResultCache {
   /// Attach a checkpoint path and the value codec.  `save_if_persistent`
   /// becomes a real save; pass an empty path to detach.
   void set_persistence(std::string path, Serializer serialize, Deserializer deserialize) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(persist_mutex_);
     persist_path_ = std::move(path);
     serialize_ = std::move(serialize);
     deserialize_ = std::move(deserialize);
@@ -156,7 +84,7 @@ class ResultCache {
 
   /// The attached checkpoint path (empty = persistence off).
   std::string persist_path() const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(persist_mutex_);
     return persist_path_;
   }
 
@@ -177,7 +105,7 @@ class ResultCache {
     }
     Deserializer deserialize;
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      std::lock_guard<std::mutex> lock(persist_mutex_);
       deserialize = deserialize_;
     }
     if (!deserialize) {
@@ -203,8 +131,7 @@ class ResultCache {
       }
       if (ok) {
         try {
-          const R value = deserialize(payload);
-          insert(key, value);  // first-insert-wins: in-process entries stay
+          this->insert(key, deserialize(payload));  // first insert wins: in-process stays
           ++loaded;
           continue;
         } catch (const std::exception&) {
@@ -227,21 +154,23 @@ class ResultCache {
   /// Write every cached entry to `path` atomically (temp + rename).
   /// Requires an attached serializer; returns whether the file landed.
   bool save_file(const std::string& path) const {
+    Serializer serialize;
+    {
+      std::lock_guard<std::mutex> lock(persist_mutex_);
+      serialize = serialize_;
+    }
+    if (!serialize) {
+      FLOG(kWarn, "sweep", "result cache has no serializer; cannot save '" << path << "'");
+      return false;
+    }
     std::ostringstream body;
     body << kPersistHeader << "\n";
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!serialize_) {
-        FLOG(kWarn, "sweep", "result cache has no serializer; cannot save '" << path << "'");
-        return false;
-      }
-      // LRU-first: reloading insert()s in file order, leaving the last
-      // written (most recent) entries at the front of the new cache.
-      for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        const std::string payload = serialize_(it->second);
-        body << it->first.to_hex() << " " << payload.size() << "\n" << payload << "\n";
-      }
-    }
+    // LRU-first: reloading insert()s in file order, leaving the last
+    // written (most recent) entries at the front of the new cache.
+    this->for_each_lru_first([&](const Fingerprint& key, const R& value) {
+      const std::string payload = serialize(value);
+      body << key.to_hex() << " " << payload.size() << "\n" << payload << "\n";
+    });
     const std::string tmp = path + ".tmp";
     {
       std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -300,35 +229,24 @@ class ResultCache {
     return true;
   }
 
+  /// Plain unsigned decimal; false on empty input, non-digits, or a value
+  /// above 2^64-1 (which would otherwise wrap to a small, plausible length).
   static bool parse_decimal(const std::string& s, std::uint64_t& out) {
-    if (s.empty() || s.size() > 20) return false;
+    if (s.empty()) return false;
     out = 0;
     for (char c : s) {
       if (c < '0' || c > '9') return false;
-      out = out * 10 + static_cast<std::uint64_t>(c - '0');
+      const auto digit = static_cast<std::uint64_t>(c - '0');
+      if (out > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) return false;
+      out = out * 10 + digit;
     }
     return true;
   }
 
-  void trim() {  // callers hold mutex_
-    while (max_entries_ != 0 && map_.size() > max_entries_) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++evictions_;
-    }
-  }
-
+  mutable std::mutex persist_mutex_;  ///< guards the three fields below
   std::string persist_path_;
   Serializer serialize_;
   Deserializer deserialize_;
-  mutable std::mutex mutex_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::size_t max_entries_;
-  /// Front = most recently used; `map_` points into the list.
-  mutable std::list<std::pair<Fingerprint, R>> lru_;
-  std::map<Fingerprint, typename std::list<std::pair<Fingerprint, R>>::iterator> map_;
 };
 
 }  // namespace frieda::exp

@@ -37,6 +37,8 @@
 //     cells within one batch execute once, and fresh results are published
 //     back so later grids of the same process hit too.  Cached outcomes are
 //     copies of deterministic runs, hence field-identical to executing.
+//     `set_cache(nullptr)` is the one opt-out: every job executes,
+//     duplicates included.
 //   * Jobs are dispatched longest-first by their `cost` estimate, so one
 //     expensive cell at the tail of a skewed grid no longer idles the rest
 //     of the pool.  Outcome slots stay in job order; only the dispatch
@@ -47,7 +49,8 @@
 //     sweep.wall_per_job_s stats).
 //   * Jobs tagged with a `Calibration` class feed their measured wall time
 //     into a `CostCalibrator` (process-global by default), so later grids
-//     dispatch on measured seconds instead of the static unit estimate.
+//     of the same process dispatch on measured seconds instead of the
+//     static unit estimate.
 //   * An opt-in `obs::ProgressReporter` (set_progress, or the
 //     FRIEDA_SWEEP_PROGRESS environment variable) prints throttled live
 //     progress lines with a cost-weighted ETA; off by default, so driver
@@ -113,10 +116,6 @@ struct SweepOptions {
   /// Under the process backend this is the number of concurrent children
   /// (each managed by one parent thread).
   std::size_t threads = 0;
-
-  /// Opt-out for memoization: when false the runner never consults or fills
-  /// a result cache and every job executes, duplicates included.
-  bool memoize = true;
 
   /// Execution backend; nullopt = auto (the FRIEDA_SWEEP_BACKEND
   /// environment variable when it is exactly "thread" or "process" — a typo
@@ -287,14 +286,13 @@ class SweepRunner {
 
     // Phase 1 — memoization: serve cache hits, collapse in-batch duplicates
     // onto one primary, collect the jobs that must actually execute.
-    ResultCache<R>* cache = opt_.memoize ? cache_ : nullptr;
     std::vector<std::size_t> execute;
     std::vector<std::optional<std::size_t>> twin_of(n);  // job -> earlier identical job
     std::map<Fingerprint, std::size_t> primary;
     for (std::size_t i = 0; i < n; ++i) {
       const auto& fp = jobs[i].fingerprint;
-      if (cache != nullptr && fp.has_value()) {
-        if (auto hit = cache->lookup(*fp)) {
+      if (cache_ != nullptr && fp.has_value()) {
+        if (auto hit = cache_->lookup(*fp)) {
           out[i].value.emplace(std::move(*hit));
           out[i].from_cache = true;
           ++cache_hits_;
@@ -350,7 +348,7 @@ class SweepRunner {
     const std::size_t served = n - schedule_.size();  // cache hits + twins
     if (progress != nullptr) progress->begin(n, batch_cost, served);
 
-    const std::uint64_t evictions_before = cache != nullptr ? cache->evictions() : 0;
+    const std::uint64_t evictions_before = cache_ != nullptr ? cache_->evictions() : 0;
     std::vector<double> job_wall(n, 0.0);  // per-job wall seconds; each job owns its slot
     std::size_t done_jobs = 0;             // guarded by metrics_mutex_
     double done_cost = 0.0;                // guarded by metrics_mutex_
@@ -445,16 +443,16 @@ class SweepRunner {
 
     // Phase 3 — publish: successful fingerprinted runs enter the cache
     // (errors never do), and in-batch twins copy their primary's outcome.
-    if (cache != nullptr) {
+    if (cache_ != nullptr) {
       for (const std::size_t i : execute) {
         if (jobs[i].fingerprint.has_value() && out[i].value.has_value()) {
-          cache->insert(*jobs[i].fingerprint, *out[i].value);
+          cache_->insert(*jobs[i].fingerprint, *out[i].value);
         }
       }
       // Sweep completion checkpoint: a cache with FRIEDA_RESULT_CACHE_FILE
       // persistence attached writes itself back atomically, so the next
       // process (or a re-run after an interrupt) starts from these cells.
-      cache->save_if_persistent();
+      cache_->save_if_persistent();
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (!twin_of[i].has_value()) continue;
@@ -475,10 +473,6 @@ class SweepRunner {
                                job_wall[i]);
         }
       }
-      // Sweep completion checkpoint: when the calibrator has a persistence
-      // path attached (FRIEDA_CALIBRATION_FILE), the rates just learned are
-      // written back so the next process starts warm.
-      calibrator_->save_if_persistent();
     }
 
     {
@@ -487,7 +481,7 @@ class SweepRunner {
       executed_ctr.inc(runs_executed_);
       crashes_ctr.inc(child_crashes_);
       steals_ctr.inc(steals_);
-      if (cache != nullptr) evicted_ctr.inc(cache->evictions() - evictions_before);
+      if (cache_ != nullptr) evicted_ctr.inc(cache_->evictions() - evictions_before);
     }
     if (progress != nullptr) progress->finish(n, n, wall_seconds_);
     return out;

@@ -23,20 +23,22 @@ void ExecutionHistory::record(const RunReport& report) {
 
 void ExecutionHistory::record(const std::string& app, PlacementStrategy strategy,
                               SimTime makespan) {
-  stats_[{app, strategy}].add(makespan);
+  auto& s = stats_[{app, strategy}];
+  ++s.count;
+  s.mean += (makespan - s.mean) / static_cast<double>(s.count);  // Welford's update
 }
 
 std::size_t ExecutionHistory::observations(const std::string& app,
                                            PlacementStrategy strategy) const {
   const auto it = stats_.find({app, strategy});
-  return it == stats_.end() ? 0 : it->second.count();
+  return it == stats_.end() ? 0 : it->second.count;
 }
 
 std::optional<SimTime> ExecutionHistory::mean_makespan(const std::string& app,
                                                        PlacementStrategy strategy) const {
   const auto it = stats_.find({app, strategy});
-  if (it == stats_.end() || it->second.count() == 0) return std::nullopt;
-  return it->second.mean();
+  if (it == stats_.end() || it->second.count == 0) return std::nullopt;
+  return it->second.mean;
 }
 
 std::vector<std::string> ExecutionHistory::known_apps() const {
@@ -53,8 +55,8 @@ std::string ExecutionHistory::serialize() const {
   for (const auto& [key, value] : stats_) {
     // count observations are compressed to (count x mean); adequate for the
     // selector, which only consults means.
-    os << escape_field(key.first) << "|" << to_string(key.second) << "|" << value.count() << "|"
-       << value.mean() << "\n";
+    os << escape_field(key.first) << "|" << to_string(key.second) << "|" << value.count << "|"
+       << value.mean << "\n";
   }
   return os.str();
 }
@@ -74,7 +76,15 @@ ExecutionHistory ExecutionHistory::deserialize(const std::string& text) {
     const auto mean = strutil::to_double(fields[3]);
     FRIEDA_CHECK(count && *count >= 0 && mean && std::isfinite(*mean) && *mean >= 0.0,
                  "malformed history line '" << line << "'");
-    for (std::int64_t i = 0; i < *count; ++i) history.record(fields[0], *strategy, *mean);
+    if (*count == 0) continue;  // an empty summary records nothing
+    // Restore the summary in O(1); a repeated (app, strategy) line merges
+    // as the count-weighted mean of both.
+    auto& s = history.stats_[{fields[0], *strategy}];
+    const auto n = static_cast<std::size_t>(*count);
+    s.mean = s.count == 0 ? *mean
+                          : s.mean + (*mean - s.mean) * (static_cast<double>(n) /
+                                                         static_cast<double>(s.count + n));
+    s.count += n;
   }
   return history;
 }

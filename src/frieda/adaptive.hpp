@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "frieda/report.hpp"
 #include "frieda/types.hpp"
 
@@ -41,13 +40,19 @@ class ExecutionHistory {
   /// Apps with at least one observation.
   std::vector<std::string> known_apps() const;
 
-  /// Serialize to a compact text form ("app|strategy|count|mean|m2" lines)
+  /// Serialize to a compact text form ("app|strategy|count|mean" lines)
   /// and parse it back — the controller can persist history across runs.
+  /// Each line restores in O(1), whatever its count.
   std::string serialize() const;
   static ExecutionHistory deserialize(const std::string& text);
 
  private:
-  std::map<std::pair<std::string, PlacementStrategy>, RunningStats> stats_;
+  /// Running mean of one (app, strategy): all the selector ever reads.
+  struct Summary {
+    std::size_t count = 0;
+    SimTime mean = 0.0;
+  };
+  std::map<std::pair<std::string, PlacementStrategy>, Summary> stats_;
 };
 
 /// Shape summary the fallback heuristic uses when no history exists.

@@ -2,7 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <cstring>
+#include <mutex>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -49,118 +49,6 @@ std::shared_ptr<const ExecutionTemplate> ExecutionTemplate::capture(
   return tmpl;
 }
 
-std::shared_ptr<const ExecutionTemplate> TemplateStore::lookup(const Fingerprint& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // move to MRU position
-  return it->second->second;
-}
-
-bool TemplateStore::insert(const Fingerprint& key,
-                           std::shared_ptr<const ExecutionTemplate> tmpl) {
-  FRIEDA_CHECK(tmpl != nullptr, "TemplateStore::insert: null template");
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return false;
-  }
-  lru_.emplace_front(key, std::move(tmpl));
-  map_.emplace(key, lru_.begin());
-  trim();
-  return true;
-}
-
-void TemplateStore::set_max_entries(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_entries_ = cap;
-  trim();
-}
-
-std::size_t TemplateStore::max_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_entries_;
-}
-
-std::size_t TemplateStore::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
-}
-
-void TemplateStore::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  lru_.clear();
-}
-
-std::uint64_t TemplateStore::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t TemplateStore::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t TemplateStore::builds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return builds_;
-}
-
-std::uint64_t TemplateStore::patches() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return patches_;
-}
-
-std::uint64_t TemplateStore::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-void TemplateStore::note_build() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++builds_;
-}
-
-void TemplateStore::note_patch(std::uint64_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  patches_ += n;
-}
-
-bool TemplateStore::enabled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
-}
-
-void TemplateStore::set_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
-
-bool TemplateStore::differential_check() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return audit_;
-}
-
-void TemplateStore::set_differential_check(bool on) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  audit_ = on;
-}
-
-void TemplateStore::trim() {
-  while (max_entries_ != 0 && map_.size() > max_entries_) {
-    map_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
 namespace detail {
 
 int parse_bool_env(const char* text) {
@@ -178,17 +66,6 @@ TemplateStore& TemplateStore::global() {
   static TemplateStore store;
   static std::once_flag env_once;
   std::call_once(env_once, [] {
-    if (const char* env = std::getenv("FRIEDA_TEMPLATES")) {
-      const int v = detail::parse_bool_env(env);
-      if (v < 0) {
-        FLOG(kWarn, "template",
-             "ignoring FRIEDA_TEMPLATES='" << env
-                                           << "' (expected 0/1/true/false); templates stay "
-                                              "enabled");
-      } else {
-        store.set_enabled(v == 1);
-      }
-    }
     if (const char* env = std::getenv("FRIEDA_TEMPLATE_AUDIT")) {
       const int v = detail::parse_bool_env(env);
       if (v < 0) {

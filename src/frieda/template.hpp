@@ -29,26 +29,27 @@
 // the same template; a strategy or topology change misses and rebuilds.
 //
 // TemplateStore is the process-global, mutex-guarded, LRU-bounded home of
-// captured templates — the control-plane analogue of exp::ResultCache.
-// `FRIEDA_TEMPLATES=0` opts out globally; `FRIEDA_TEMPLATE_AUDIT=1` turns
-// on the differential-check mode (the same validation pattern the
-// incremental network solver uses): every templated decision is recomputed
-// from scratch and asserted structurally equal before use.
+// captured templates — the control-plane analogue of exp::ResultCache, and
+// built on the same common/lru_cache.hpp store.  A run opts out with
+// `PaperScenarioOptions::use_execution_templates = false`;
+// `FRIEDA_TEMPLATE_AUDIT=1` turns on the differential-check mode (the same
+// validation pattern the incremental network solver uses): every templated
+// decision is recomputed from scratch and asserted structurally equal
+// before use.
 //
 // Determinism: instantiating from a template is value-identical to a
 // from-scratch rebuild by construction (and asserted under audit), so runs,
 // reports, tables, and committed CSVs are byte-identical either way.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/lru_cache.hpp"
 #include "frieda/command.hpp"
 #include "frieda/protocol.hpp"
 #include "frieda/types.hpp"
@@ -120,10 +121,14 @@ class ExecutionTemplate {
 };
 
 /// Process-global home of captured templates, keyed by the structural
-/// scenario fingerprint.  Mirrors exp::ResultCache: mutex-guarded, bounded
-/// by an LRU cap, first-insert-wins.  Templates are held by shared_ptr, so
-/// an evicted template stays valid for runs still holding it.
-class TemplateStore {
+/// scenario fingerprint.  The store itself is the shared LruCache (the one
+/// exp::ResultCache uses): mutex-guarded, bounded by an LRU cap,
+/// first-insert-wins, lookup() returns nullopt on miss.  Templates are held
+/// by shared_ptr, so an evicted template stays valid for runs still
+/// holding it.  TemplateStore adds only the build/patch counters and the
+/// audit flag.
+class TemplateStore
+    : public LruCache<Fingerprint, std::shared_ptr<const ExecutionTemplate>> {
  public:
   /// Default entry cap.  A template for a 100k-unit scenario is a few tens
   /// of MB, so the cap is far tighter than ResultCache's — today's drivers
@@ -131,72 +136,36 @@ class TemplateStore {
   static constexpr std::size_t kDefaultMaxEntries = 64;
 
   explicit TemplateStore(std::size_t max_entries = kDefaultMaxEntries)
-      : max_entries_(max_entries) {}
+      : LruCache(max_entries) {}
 
-  /// The cached template, or nullptr on miss.  A hit refreshes the entry's
-  /// recency and counts toward hits(); a miss counts toward misses().
-  std::shared_ptr<const ExecutionTemplate> lookup(const Fingerprint& key);
-
-  /// Store `tmpl` under `key`; the first insert wins (identical keys mean
-  /// structurally identical templates).  Returns whether the entry was new.
-  /// May evict the least-recently-used entry when over the cap.
-  bool insert(const Fingerprint& key, std::shared_ptr<const ExecutionTemplate> tmpl);
-
-  /// Change the entry cap (0 = unbounded); shrinking evicts the LRU tail.
-  void set_max_entries(std::size_t cap);
-  std::size_t max_entries() const;
-  std::size_t size() const;
-  void clear();  ///< drops entries, keeps counters and mode flags
-
-  // Lifetime statistics (mirrored into obs::MetricsRegistry by the
-  // scenario drivers as frieda.template_hits / _builds / _patches).
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t builds() const;     ///< templates captured and inserted
-  std::uint64_t patches() const;    ///< patched instantiations (see note_patch)
-  std::uint64_t evictions() const;  ///< entries discarded by the LRU cap
+  // Lifetime statistics beyond the LRU's hits/misses/evictions (mirrored
+  // into obs::MetricsRegistry by the scenario drivers as
+  // frieda.template_hits / _builds / _patches).  clear() keeps them.
+  std::uint64_t builds() const { return builds_.load(); }    ///< templates captured
+  std::uint64_t patches() const { return patches_.load(); }  ///< patched instantiations
 
   /// Record that a template was captured / that an instantiation had to
   /// patch a decision (worker-count delta, arrival-config delta).
-  void note_build();
-  void note_patch(std::uint64_t n = 1);
-
-  /// Master switch: when disabled, the scenario drivers neither consult nor
-  /// populate the store (every run rebuilds from scratch).  Seeded from
-  /// FRIEDA_TEMPLATES for the global store; 1 by default.
-  bool enabled() const;
-  void set_enabled(bool enabled);
+  void note_build() { builds_.fetch_add(1); }
+  void note_patch(std::uint64_t n = 1) { patches_.fetch_add(n); }
 
   /// Differential-check audit mode: every templated decision is also
   /// recomputed from scratch and asserted structurally equal before use
   /// (the Network::set_differential_check pattern).  Seeded from
   /// FRIEDA_TEMPLATE_AUDIT for the global store; off by default.
-  bool differential_check() const;
-  void set_differential_check(bool on);
+  bool differential_check() const { return audit_.load(); }
+  void set_differential_check(bool on) { audit_.store(on); }
 
   /// The process-wide store every scenario driver consults, which is what
   /// makes templates pay off *across* the runs of one sweep.  First use
-  /// applies FRIEDA_TEMPLATES / FRIEDA_TEMPLATE_AUDIT (invalid values log
-  /// kWarn and keep the defaults).
+  /// applies FRIEDA_TEMPLATE_AUDIT (an invalid value logs kWarn and keeps
+  /// audit off).
   static TemplateStore& global();
 
  private:
-  using Entry = std::pair<Fingerprint, std::shared_ptr<const ExecutionTemplate>>;
-
-  void trim();  // callers hold mutex_
-
-  mutable std::mutex mutex_;
-  std::size_t max_entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t builds_ = 0;
-  std::uint64_t patches_ = 0;
-  std::uint64_t evictions_ = 0;
-  bool enabled_ = true;
-  bool audit_ = false;
-  /// Front = most recently used; `map_` points into the list.
-  std::list<Entry> lru_;
-  std::map<Fingerprint, std::list<Entry>::iterator> map_;
+  std::atomic<std::uint64_t> builds_{0};
+  std::atomic<std::uint64_t> patches_{0};
+  std::atomic<bool> audit_{false};
 };
 
 namespace detail {

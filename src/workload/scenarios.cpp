@@ -61,15 +61,14 @@ core::RunReport execute(Built& b, const core::AppModel& app,
                         core::PlacementStrategy strategy, const PaperScenarioOptions& opt,
                         bool multicore, const char* app_kind) {
   auto& store = core::TemplateStore::global();
-  const bool use_templates =
-      store.enabled() && opt.use_execution_templates && templatable(opt);
+  const bool use_templates = opt.use_execution_templates && templatable(opt);
   const bool audit = use_templates && store.differential_check();
 
   std::shared_ptr<const core::ExecutionTemplate> tmpl;
   std::optional<Fingerprint> key;
   if (use_templates) {
     key = template_fingerprint(app_kind, strategy, opt);
-    tmpl = store.lookup(*key);
+    tmpl = store.lookup(*key).value_or(nullptr);
   }
 
   // Program-instance slots this run will fork — the assignment table shape.

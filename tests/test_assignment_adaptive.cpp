@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
 #include "common/error.hpp"
@@ -105,6 +106,27 @@ TEST(History, SerializeRoundTrip) {
   EXPECT_EQ(back.observations("als", PlacementStrategy::kPrePartitionRemote), 2u);
   EXPECT_NEAR(*back.mean_makespan("als", PlacementStrategy::kPrePartitionRemote), 795.0, 1e-9);
   EXPECT_THROW(ExecutionHistory::deserialize("bad line no pipes"), FriedaError);
+}
+
+TEST(History, HugeCountRestoresInConstantTime) {
+  // Deserialize used to replay `count` observations one by one, so a
+  // persisted count of 10^15 effectively never returned.
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto h = ExecutionHistory::deserialize("blast|real-time|1000000000000000|42.5\n");
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(secs, 0.5);
+  EXPECT_EQ(h.observations("blast", PlacementStrategy::kRealTime), 1000000000000000u);
+  EXPECT_EQ(*h.mean_makespan("blast", PlacementStrategy::kRealTime), 42.5);
+  // The restored summary round-trips, and keeps accumulating.
+  const auto back = ExecutionHistory::deserialize(h.serialize());
+  EXPECT_EQ(back.serialize(), h.serialize());
+  EXPECT_EQ(back.observations("blast", PlacementStrategy::kRealTime), 1000000000000000u);
+  // A repeated line merges as a count-weighted mean.
+  const auto merged =
+      ExecutionHistory::deserialize("a|real-time|1|10.0\na|real-time|3|30.0\n");
+  EXPECT_EQ(merged.observations("a", PlacementStrategy::kRealTime), 4u);
+  EXPECT_DOUBLE_EQ(*merged.mean_makespan("a", PlacementStrategy::kRealTime), 25.0);
 }
 
 TEST(History, SerializeEscapesDelimiterInAppName) {

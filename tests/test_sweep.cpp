@@ -203,42 +203,6 @@ TEST(Sweep, HookedOptionsAreNotFingerprintable) {
   EXPECT_FALSE(scenario_fingerprint("als", "real-time", metered).has_value());
 }
 
-TEST(Sweep, TemplateFingerprintIsStructuralOnly) {
-  // The execution-template key is deliberately coarser than the result key:
-  // patchable fields (seed, VM shape) must share it, structural ones split.
-  const PaperScenarioOptions base;
-  const auto key =
-      scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, base);
-  ASSERT_TRUE(key.has_value());
-
-  auto patchable = base;
-  patchable.seed = 99;
-  patchable.worker_vms = 8;
-  patchable.multicore = false;
-  EXPECT_EQ(*key, *scenario_template_fingerprint("blast", PlacementStrategy::kRealTime,
-                                                 patchable));
-
-  auto scaled = base;
-  scaled.scale = 0.5;
-  EXPECT_NE(*key,
-            *scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, scaled));
-  EXPECT_NE(*key, *scenario_template_fingerprint(
-                      "blast", PlacementStrategy::kPrePartitionLocal, base));
-
-  // Tracer/metrics hooks stay templatable (the run still executes fully),
-  // but an arrange hook disqualifies — no captured decision set covers it.
-  obs::MetricsRegistry registry;
-  auto metered = base;
-  metered.metrics = &registry;
-  EXPECT_TRUE(scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, metered)
-                  .has_value());
-  auto arranged = base;
-  arranged.arrange = [](sim::Simulation&, cluster::VirtualCluster&, core::FriedaRun&) {};
-  EXPECT_FALSE(
-      scenario_template_fingerprint("blast", PlacementStrategy::kRealTime, arranged)
-          .has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Memoization: cache hits, in-batch dedup, opt-outs.
 // ---------------------------------------------------------------------------
@@ -325,22 +289,18 @@ TEST(Sweep, AdHocJobsAreNeverCached) {
   EXPECT_EQ(cache.size(), 0u);  // never entered the cache
 }
 
-TEST(Sweep, MemoizeOptOutExecutesEverything) {
+TEST(Sweep, NullCacheExecutesEverything) {
   PaperScenarioOptions opt;
   opt.scale = 0.1;
   opt.seed = 4244;
-  ResultCache<core::RunReport> cache;
-  SweepOptions sopt;
-  sopt.memoize = false;
-  SweepRunner<> runner(sopt);
-  runner.set_cache(&cache);
+  SweepRunner<> runner;
+  runner.set_cache(nullptr);  // the memoization opt-out
   Grid grid;
   grid.add_blast(PlacementStrategy::kRealTime, opt);
   grid.add_blast(PlacementStrategy::kRealTime, opt);  // duplicate, still runs
   const auto out = runner.run(grid.take());
   EXPECT_EQ(runner.runs_executed(), 2u);
   EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(cache.size(), 0u);
   expect_reports_equal(out[0].get(), out[1].get());
 }
 
@@ -683,7 +643,7 @@ TEST(Sweep, ConcurrentSweepsShareOneCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded result cache: LRU eviction.
+// Bounded result cache: LRU eviction (the LRU itself: test_lru_cache.cpp).
 // ---------------------------------------------------------------------------
 
 Fingerprint key_of(std::uint64_t i) {
@@ -692,48 +652,8 @@ Fingerprint key_of(std::uint64_t i) {
   return h.digest();
 }
 
-TEST(ResultCacheLru, EvictsLeastRecentlyUsedInOrder) {
-  ResultCache<int> cache(2);
-  EXPECT_EQ(cache.max_entries(), 2u);
-  cache.insert(key_of(0), 0);
-  cache.insert(key_of(1), 1);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  // Touch 0 so 1 becomes the LRU entry, then overflow.
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());
-  cache.insert(key_of(2), 2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());  // evicted
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());   // kept (recently used)
-  EXPECT_TRUE(cache.lookup(key_of(2)).has_value());
-
-  // Re-inserting an existing key refreshes recency instead of evicting.
-  cache.insert(key_of(0), 0);
-  cache.insert(key_of(3), 3);
-  EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());
-}
-
-TEST(ResultCacheLru, ShrinkingTheCapEvictsImmediately) {
-  ResultCache<int> cache;  // default generous cap
-  EXPECT_EQ(cache.max_entries(), ResultCache<int>::kDefaultMaxEntries);
-  for (std::uint64_t i = 0; i < 8; ++i) cache.insert(key_of(i), static_cast<int>(i));
-  cache.set_max_entries(3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 5u);
-  // The survivors are the three most recently inserted.
-  EXPECT_TRUE(cache.lookup(key_of(7)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(6)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(5)).has_value());
-  EXPECT_FALSE(cache.lookup(key_of(4)).has_value());
-
-  cache.set_max_entries(0);  // unbounded again
-  for (std::uint64_t i = 10; i < 30; ++i) cache.insert(key_of(i), static_cast<int>(i));
-  EXPECT_EQ(cache.size(), 23u);
-}
-
 TEST(ResultCacheLru, RunnerCountsEvictionsInMetrics) {
+  EXPECT_EQ(ResultCache<int>().max_entries(), ResultCache<int>::kDefaultMaxEntries);
   ResultCache<int> cache(1);
   SweepRunner<int> runner(SweepOptions{1});
   runner.set_cache(&cache);
@@ -1013,120 +933,6 @@ TEST(Progress, FromEnvInvalidValueFallsBackToDefaultInterval) {
   ::setenv("FRIEDA_SWEEP_PROGRESS", "-3", 1);
   EXPECT_NE(obs::ProgressReporter::from_env(), nullptr);
   ::unsetenv("FRIEDA_SWEEP_PROGRESS");
-}
-
-// ---------------------------------------------------------------------------
-// Calibration persistence (FRIEDA_CALIBRATION_FILE).
-// ---------------------------------------------------------------------------
-
-std::string temp_calibration_path(const char* name) {
-  return std::string(testing::TempDir()) + "/" + name;
-}
-
-TEST(CalibratorPersistence, SaveThenLoadRoundTrips) {
-  const auto path = temp_calibration_path("frieda_cal_roundtrip.tsv");
-  std::remove(path.c_str());
-
-  CostCalibrator writer;
-  writer.observe("blast/realtime", 10.0, 5.0);   // rate 0.5
-  writer.observe("als/prepartition", 4.0, 8.0);  // rate 2.0
-  ASSERT_TRUE(writer.save_file(path));
-
-  CostCalibrator reader;
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_EQ(reader.classes(), 2u);
-  EXPECT_DOUBLE_EQ(reader.rate("blast/realtime").value(), 0.5);
-  EXPECT_DOUBLE_EQ(reader.rate("als/prepartition").value(), 2.0);
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, InProcessRatesWinOverFileRates) {
-  const auto path = temp_calibration_path("frieda_cal_merge.tsv");
-  CostCalibrator writer;
-  writer.observe("class/a", 1.0, 3.0);  // file rate 3.0
-  writer.observe("class/b", 1.0, 7.0);  // file rate 7.0
-  ASSERT_TRUE(writer.save_file(path));
-
-  CostCalibrator reader;
-  reader.observe("class/a", 1.0, 1.0);  // fresher in-process rate 1.0
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_DOUBLE_EQ(reader.rate("class/a").value(), 1.0);  // measured wins
-  EXPECT_DOUBLE_EQ(reader.rate("class/b").value(), 7.0);  // file seeds the rest
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, MissingFileIsAQuietColdStart) {
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.load_file(temp_calibration_path("frieda_cal_nonexistent.tsv")));
-  EXPECT_EQ(cal.classes(), 0u);
-}
-
-TEST(CalibratorPersistence, MalformedContentIsSkippedNotTrusted) {
-  const auto path = temp_calibration_path("frieda_cal_malformed.tsv");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-calibration v1\n", f);
-    std::fputs("good/class\t1.5\n", f);
-    std::fputs("no-tab-line\n", f);          // malformed: no separator
-    std::fputs("bad/rate\tpotato\n", f);     // malformed: non-numeric rate
-    std::fputs("bad/negative\t-2.0\n", f);   // malformed: rate must be > 0
-    std::fputs("bad/trailing\t1.5x\n", f);   // malformed: trailing junk
-    std::fclose(f);
-  }
-  CostCalibrator cal;
-  EXPECT_TRUE(cal.load_file(path));  // something valid was loaded
-  EXPECT_EQ(cal.classes(), 1u);
-  EXPECT_DOUBLE_EQ(cal.rate("good/class").value(), 1.5);
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, WrongHeaderIsRejectedEntirely) {
-  const auto path = temp_calibration_path("frieda_cal_header.tsv");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-calibration v999\n", f);
-    std::fputs("some/class\t1.5\n", f);
-    std::fclose(f);
-  }
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.load_file(path));
-  EXPECT_EQ(cal.classes(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CalibratorPersistence, SweepCompletionSavesWhenPathAttached) {
-  const auto path = temp_calibration_path("frieda_cal_sweep.tsv");
-  std::remove(path.c_str());
-
-  CostCalibrator cal;
-  EXPECT_FALSE(cal.save_if_persistent());  // no path attached -> no-op
-  cal.set_persist_path(path);
-  EXPECT_EQ(cal.persist_path(), path);
-
-  SweepRunner<int> runner(SweepOptions{1});
-  runner.set_cache(nullptr);
-  runner.set_calibrator(&cal);
-  std::vector<Job<int>> jobs;
-  Job<int> job{"cal", [] {
-                 std::this_thread::sleep_for(std::chrono::milliseconds(5));
-                 return 1;
-               }};
-  job.calibration = Job<int>::Calibration{"test/persist", 1.0};
-  jobs.push_back(std::move(job));
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-
-  // The runner checkpointed the learned rates on completion.
-  CostCalibrator reloaded;
-  ASSERT_TRUE(reloaded.load_file(path));
-  EXPECT_EQ(reloaded.classes(), 1u);
-  EXPECT_GT(reloaded.rate("test/persist").value(), 0.0);
-  std::remove(path.c_str());
-
-  cal.set_persist_path("");  // detach
-  EXPECT_FALSE(cal.save_if_persistent());
 }
 
 // ---------------------------------------------------------------------------
@@ -1471,6 +1277,27 @@ TEST(ResultCachePersistence, WrongHeaderIsRejectedEntirely) {
   attach_int_codec(cache, path);
   EXPECT_FALSE(cache.load_file(path));
   EXPECT_EQ(cache.size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ResultCachePersistence, OverflowingLengthIsRejected) {
+  // 2^64 + 3 used to wrap to a 3-byte length, loading "abc" as an entry.
+  const auto path = temp_cache_path("frieda_cache_overflow.txt");
+  StableHasher h;
+  const auto key = h.mix_str("overflow").digest();
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("frieda-result-cache v1\n", f);
+    std::fprintf(f, "%s 18446744073709551619\nabc\n", key.to_hex().c_str());
+    std::fclose(f);
+  }
+  ResultCache<std::string> cache;
+  cache.set_persistence(path, [](const std::string& v) { return v; },
+                        [](const std::string& v) { return v; });
+  EXPECT_FALSE(cache.load_file(path));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup(key).has_value());
   std::remove(path.c_str());
 }
 

@@ -8,8 +8,9 @@
 // assignment table, a bound command, or an arrival schedule shows up as a
 // timestamp or unit-record mismatch here.  The remaining tests pin the
 // invalidation rules (what shares a key, what patches, what rebuilds), the
-// TemplateStore LRU/counter mechanics, capture-time validation, and the
-// FRIEDA_TEMPLATES / FRIEDA_TEMPLATE_AUDIT env parsing.
+// TemplateStore counters and holder semantics (the LRU itself is tested in
+// test_lru_cache.cpp), capture-time validation, and the
+// FRIEDA_TEMPLATE_AUDIT env parsing.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -20,6 +21,7 @@
 #include "frieda/assignment.hpp"
 #include "frieda/partition.hpp"
 #include "frieda/template.hpp"
+#include "obs/metrics.hpp"
 #include "storage/file.hpp"
 #include "workload/scenarios.hpp"
 
@@ -107,7 +109,6 @@ class TemplateScenario : public ::testing::Test {
   static void reset() {
     auto& s = core::TemplateStore::global();
     s.clear();
-    s.set_enabled(true);
     s.set_differential_check(false);
     s.set_max_entries(core::TemplateStore::kDefaultMaxEntries);
   }
@@ -218,29 +219,31 @@ TEST_F(TemplateScenario, AuditModeRandomizedChurnStaysIdentical) {
   }
 }
 
-TEST_F(TemplateScenario, DisabledStoreAndPerRunOptOutBuildNothing) {
+TEST_F(TemplateScenario, PerRunOptOutBuildsNothing) {
   auto& store = core::TemplateStore::global();
   PaperScenarioOptions opt;
   opt.scale = 0.01;
 
   const auto builds_before = store.builds();
-  store.set_enabled(false);  // global kill switch (FRIEDA_TEMPLATES=0)
+  opt.use_execution_templates = false;
   const auto off = workload::run_blast(PlacementStrategy::kRealTime, opt);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.builds(), builds_before);
 
-  store.set_enabled(true);
-  opt.use_execution_templates = false;  // per-run opt-out
-  (void)workload::run_blast(PlacementStrategy::kRealTime, opt);
-  EXPECT_EQ(store.size(), 0u);
-
   opt.use_execution_templates = true;
   expect_identical(off, workload::run_blast(PlacementStrategy::kRealTime, opt));
+  EXPECT_EQ(store.builds(), builds_before + 1);
 }
 
 TEST_F(TemplateScenario, ArrangeHookDisqualifiesTemplating) {
   PaperScenarioOptions opt;
   opt.scale = 0.01;
+  // Tracer/metrics hooks stay templatable (the run still executes fully),
+  // but an arrange hook disqualifies — no captured decision set covers it.
+  obs::MetricsRegistry registry;
+  opt.metrics = &registry;
+  EXPECT_TRUE(workload::templatable(opt));
+  opt.metrics = nullptr;
   opt.arrange = [](sim::Simulation&, cluster::VirtualCluster&, core::FriedaRun&) {};
   EXPECT_FALSE(workload::templatable(opt));
   (void)workload::run_blast(PlacementStrategy::kRealTime, opt);
@@ -363,39 +366,27 @@ TEST(TemplateStoreMechanics, LookupInsertAndCounters) {
   const Fixture fx;
   core::TemplateStore store;
   const auto key = StableHasher().mix_str("k1").digest();
-  EXPECT_EQ(store.lookup(key), nullptr);
+  EXPECT_FALSE(store.lookup(key).has_value());
   EXPECT_EQ(store.misses(), 1u);
 
   const auto first = fx.capture();
   EXPECT_TRUE(store.insert(key, first));
   EXPECT_FALSE(store.insert(key, fx.capture()));  // first insert wins
-  EXPECT_EQ(store.lookup(key).get(), first.get());
+  EXPECT_EQ(store.lookup(key)->get(), first.get());
   EXPECT_EQ(store.hits(), 1u);
   EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(TemplateStoreMechanics, LruEvictsColdestAndHitsRefresh) {
+TEST(TemplateStoreMechanics, EvictedTemplateStaysValidForHolders) {
   const Fixture fx;
-  core::TemplateStore store(/*max_entries=*/2);
+  core::TemplateStore store(/*max_entries=*/1);
   const auto k1 = StableHasher().mix_str("k1").digest();
-  const auto k2 = StableHasher().mix_str("k2").digest();
-  const auto k3 = StableHasher().mix_str("k3").digest();
   store.insert(k1, fx.capture());
-  store.insert(k2, fx.capture());
-  ASSERT_NE(store.lookup(k1), nullptr);  // refresh k1: k2 is now coldest
-  store.insert(k3, fx.capture());
-  EXPECT_EQ(store.size(), 2u);
+  const auto held = store.lookup(k1).value();
+  store.insert(StableHasher().mix_str("k2").digest(), fx.capture());  // evicts k1
   EXPECT_EQ(store.evictions(), 1u);
-  EXPECT_NE(store.lookup(k1), nullptr);
-  EXPECT_EQ(store.lookup(k2), nullptr);  // evicted
-  EXPECT_NE(store.lookup(k3), nullptr);
-
-  // An evicted template stays valid for holders (shared_ptr semantics).
-  const auto held = store.lookup(k1);
-  store.set_max_entries(0);  // 0 = unbounded is allowed...
-  store.set_max_entries(1);  // ...and shrinking evicts down to the cap
-  EXPECT_LE(store.size(), 1u);
-  EXPECT_EQ(held->units().size(), 6u);
+  EXPECT_FALSE(store.lookup(k1).has_value());
+  EXPECT_EQ(held->units().size(), 6u);  // shared_ptr keeps it alive
 }
 
 TEST(TemplateStoreMechanics, ClearKeepsCountersAndFlags) {
@@ -410,6 +401,7 @@ TEST(TemplateStoreMechanics, ClearKeepsCountersAndFlags) {
   EXPECT_EQ(store.builds(), 1u);
   EXPECT_EQ(store.patches(), 3u);
   EXPECT_TRUE(store.differential_check());
+  EXPECT_EQ(core::TemplateStore().max_entries(), core::TemplateStore::kDefaultMaxEntries);
 }
 
 TEST(TemplateEnv, ParseBoolEnv) {
