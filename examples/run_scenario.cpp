@@ -5,12 +5,15 @@
 //   run_scenario --demo                 # built-in demo scenario
 //
 // Prints the run summary and the per-unit/per-worker CSVs' first lines; see
-// src/workload/scenario_config.hpp for the full key reference.
+// src/workload/scenario_config.hpp for the full key reference.  A config the
+// runner rejects (unknown value, negative count, ...) prints the error and
+// exits 2.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "workload/scenario_config.hpp"
 
 using namespace frieda;
@@ -45,7 +48,7 @@ add_vms = 1
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Config config;
   std::vector<std::string> overrides;
   bool have_file = false;
@@ -73,4 +76,7 @@ int main(int argc, char** argv) {
   const auto report = workload::run_scenario(config);
   std::printf("%s\n", report.summary().c_str());
   return report.all_completed() ? 0 : 1;
+} catch (const FriedaError& e) {
+  std::fprintf(stderr, "run_scenario: %s\n", e.what());
+  return 2;
 }

@@ -159,9 +159,6 @@ class ScenarioSweep {
     runner_.set_calibrator(calibrator);
   }
 
-  /// Attach a live progress reporter (opt-in; see obs/report_sink.hpp).
-  void set_progress(obs::ProgressReporter* progress) { runner_.set_progress(progress); }
-
  private:
   Grid grid_;
   SweepRunner<core::RunReport> runner_;

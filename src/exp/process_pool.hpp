@@ -32,7 +32,6 @@
 #include <string>
 
 #include "frieda/report_io.hpp"
-#include "runtime/rt_engine.hpp"
 
 namespace frieda::exp {
 
@@ -80,8 +79,8 @@ std::string describe_wait_status(int wait_status);
 
 /// Serialization bridge between the sweep engine's result type and the
 /// pipe.  The process backend is available only for result types with a
-/// specialization (core::RunReport and rt::RtReport today); for anything
-/// else the runner falls back to the thread backend with a warning.
+/// specialization (core::RunReport today); for anything else the runner
+/// falls back to the thread backend with a warning.
 template <typename R>
 struct ReportCodec {
   static constexpr bool kAvailable = false;
@@ -95,17 +94,6 @@ struct ReportCodec<core::RunReport> {
   }
   static core::RunReport deserialize(const std::string& text) {
     return core::deserialize_run_report(text);
-  }
-};
-
-template <>
-struct ReportCodec<rt::RtReport> {
-  static constexpr bool kAvailable = true;
-  static std::string serialize(const rt::RtReport& r) {
-    return core::serialize_rt_report(r);
-  }
-  static rt::RtReport deserialize(const std::string& text) {
-    return core::deserialize_rt_report(text);
   }
 };
 

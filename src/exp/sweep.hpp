@@ -17,8 +17,8 @@
 //     becomes *that job's* error outcome; every other job completes.  The
 //     deserialized report is field-identical to the in-process one (doubles
 //     cross the pipe as bit patterns), so CSVs stay byte-identical across
-//     backends.  Requires a ReportCodec for the result type (RunReport and
-//     RtReport today); otherwise the runner warns and uses threads.
+//     backends.  Requires a ReportCodec for the result type (RunReport
+//     today); otherwise the runner warns and uses threads.
 //     Parent-side hooks baked into a job's closure (tracer, metrics,
 //     arrange hooks mutating captured state) take effect in the *child's*
 //     copy of the address space: the report is the only thing shipped back.
@@ -51,10 +51,6 @@
 //     into a `CostCalibrator` (process-global by default), so later grids
 //     of the same process dispatch on measured seconds instead of the
 //     static unit estimate.
-//   * An opt-in `obs::ProgressReporter` (set_progress, or the
-//     FRIEDA_SWEEP_PROGRESS environment variable) prints throttled live
-//     progress lines with a cost-weighted ETA; off by default, so driver
-//     stdout and committed CSVs are unaffected.
 //
 // Determinism rules:
 //   * Each job owns its `sim::Simulation`/`cluster::VirtualCluster`/`Rng` —
@@ -75,7 +71,6 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -90,7 +85,6 @@
 #include "exp/result_cache.hpp"
 #include "frieda/report.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report_sink.hpp"
 
 namespace frieda::exp {
 
@@ -262,12 +256,6 @@ class SweepRunner {
   /// CostCalibrator).  nullptr disables calibration feedback.
   void set_calibrator(CostCalibrator* calibrator) { calibrator_ = calibrator; }
 
-  /// Attach a live progress reporter (see obs/report_sink.hpp).  Off by
-  /// default: with no reporter attached — and FRIEDA_SWEEP_PROGRESS unset —
-  /// the runner prints nothing, so driver output stays byte-identical.
-  /// The reporter must outlive run(); nullptr detaches.
-  void set_progress(obs::ProgressReporter* progress) { progress_ = progress; }
-
   std::vector<JobOutcome<R>> run(std::vector<Job<R>> jobs) {
     const std::size_t n = jobs.size();
     std::vector<JobOutcome<R>> out(n);
@@ -330,28 +318,8 @@ class SweepRunner {
     auto& in_flight = metrics_.gauge("sweep.in_flight");
     auto& wall_per_job = metrics_.stats("sweep.wall_per_job_s");
 
-    // Live progress: an attached reporter wins; otherwise the
-    // FRIEDA_SWEEP_PROGRESS environment variable can enable one for this
-    // run.  Both off (the default) means zero output.
-    std::unique_ptr<obs::ProgressReporter> env_progress;
-    obs::ProgressReporter* progress = progress_;
-    if (progress == nullptr) {
-      env_progress = obs::ProgressReporter::from_env();
-      progress = env_progress.get();
-    }
-    // batch_cost sums *scheduled* jobs only — cache hits' and twins' weight
-    // is subtracted up front, and `served` removes them from the reporter's
-    // count fallback, so a duplicate-heavy grid's ETA tracks the jobs that
-    // actually execute instead of the memoized ones completing at zero cost.
-    double batch_cost = 0.0;
-    for (const std::size_t i : schedule_) batch_cost += jobs[i].cost;
-    const std::size_t served = n - schedule_.size();  // cache hits + twins
-    if (progress != nullptr) progress->begin(n, batch_cost, served);
-
     const std::uint64_t evictions_before = cache_ != nullptr ? cache_->evictions() : 0;
     std::vector<double> job_wall(n, 0.0);  // per-job wall seconds; each job owns its slot
-    std::size_t done_jobs = 0;             // guarded by metrics_mutex_
-    double done_cost = 0.0;                // guarded by metrics_mutex_
 
     const auto t0 = std::chrono::steady_clock::now();
     std::atomic<std::uint64_t> crash_count{0};
@@ -370,41 +338,18 @@ class SweepRunner {
         obs::Counter& completed;
         RunningStats& wall;
         std::chrono::steady_clock::time_point start;
-        std::chrono::steady_clock::time_point batch_start;
-        obs::ProgressReporter* progress;
-        double cost;
         double* wall_slot;
-        std::size_t served;
-        std::size_t* done_jobs;
-        double* done_cost;
         ~Done() {
           const double secs =
               std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                   .count();
           *wall_slot = secs;
-          std::size_t completed_now = 0;
-          std::size_t flying = 0;
-          double cost_now = 0.0;
-          {
-            std::lock_guard<std::mutex> lock(self->metrics_mutex_);
-            in_flight.set(in_flight.value() - 1);
-            completed.inc();
-            wall.add(secs);
-            *done_jobs += 1;
-            *done_cost += cost;
-            completed_now = served + *done_jobs;
-            flying = static_cast<std::size_t>(in_flight.value());
-            cost_now = *done_cost;
-          }
-          if (progress != nullptr) {
-            const double elapsed =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start)
-                    .count();
-            progress->update(completed_now, flying, cost_now, elapsed);
-          }
+          std::lock_guard<std::mutex> lock(self->metrics_mutex_);
+          in_flight.set(in_flight.value() - 1);
+          completed.inc();
+          wall.add(secs);
         }
-      } done{this,     in_flight,    completed,    wall_per_job, j0,         t0,
-             progress, jobs[i].cost, &job_wall[i], served,       &done_jobs, &done_cost};
+      } done{this, in_flight, completed, wall_per_job, j0, &job_wall[i]};
       if constexpr (ReportCodec<R>::kAvailable) {
         if (backend_used_ == SweepBackend::kProcess) {
           // Fork: the child runs fn() in its copy of the address space and
@@ -483,7 +428,6 @@ class SweepRunner {
       steals_ctr.inc(steals_);
       if (cache_ != nullptr) evicted_ctr.inc(cache_->evictions() - evictions_before);
     }
-    if (progress != nullptr) progress->finish(n, n, wall_seconds_);
     return out;
   }
 
@@ -534,7 +478,6 @@ class SweepRunner {
   SweepOptions opt_;
   ResultCache<R>* cache_ = &ResultCache<R>::global();
   CostCalibrator* calibrator_ = &CostCalibrator::global();
-  obs::ProgressReporter* progress_ = nullptr;
   std::size_t threads_used_ = 0;
   double wall_seconds_ = 0.0;
   std::size_t runs_requested_ = 0;

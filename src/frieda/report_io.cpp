@@ -5,14 +5,12 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "runtime/rt_engine.hpp"
 
 namespace frieda::core {
 
 namespace {
 
 constexpr const char* kRunHeader = "frieda-run-report v1";
-constexpr const char* kRtHeader = "frieda-rt-report v1";
 
 void append_hex(std::string& out, std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
@@ -257,55 +255,6 @@ RunReport deserialize_run_report(const std::string& text) {
                  "unknown activity kind " << kind);
     r.timeline.record(static_cast<ActivityKind>(kind), require_f64(iv[2]),
                       require_f64(iv[3]), iv[4]);
-  }
-  FRIEDA_CHECK(in.next("end marker") == "end", "truncated report: missing end marker");
-  return r;
-}
-
-std::string serialize_rt_report(const rt::RtReport& r) {
-  std::ostringstream os;
-  os << kRtHeader << "\n";
-  os << "size|" << r.units.size() << "|" << r.per_worker_completed.size() << "\n";
-  os << "sum|" << f64_bits(r.makespan) << "|" << f64_bits(r.staging_seconds) << "|"
-     << r.units_completed << "|" << r.units_failed << "|" << r.bytes_staged << "\n";
-  for (const auto& u : r.units) {
-    os << "u|" << u.unit << "|" << u.worker << "|" << (u.ok ? 1 : 0) << "|"
-       << f64_bits(u.transfer_seconds) << "|" << f64_bits(u.exec_seconds) << "\n";
-  }
-  for (const std::size_t c : r.per_worker_completed) os << "pw|" << c << "\n";
-  os << "end\n";
-  return os.str();
-}
-
-rt::RtReport deserialize_rt_report(const std::string& text) {
-  LineReader in(text);
-  FRIEDA_CHECK(in.next("header") == kRtHeader,
-               "not a serialized rt report (want '" << kRtHeader << "' header)");
-  const auto size = in.record("size", 3);
-  const std::size_t n_units = require_u64(size[1]);
-  const std::size_t n_workers = require_u64(size[2]);
-
-  rt::RtReport r;
-  const auto sum = in.record("sum", 6);
-  r.makespan = require_f64(sum[1]);
-  r.staging_seconds = require_f64(sum[2]);
-  r.units_completed = require_u64(sum[3]);
-  r.units_failed = require_u64(sum[4]);
-  r.bytes_staged = require_u64(sum[5]);
-  r.units.reserve(n_units);
-  for (std::size_t i = 0; i < n_units; ++i) {
-    const auto u = in.record("u", 6);
-    rt::RtUnitRecord rec;
-    rec.unit = static_cast<WorkUnitId>(require_u64(u[1]));
-    rec.worker = static_cast<WorkerId>(require_u64(u[2]));
-    rec.ok = require_bool(u[3]);
-    rec.transfer_seconds = require_f64(u[4]);
-    rec.exec_seconds = require_f64(u[5]);
-    r.units.push_back(rec);
-  }
-  r.per_worker_completed.reserve(n_workers);
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    r.per_worker_completed.push_back(require_u64(in.record("pw", 2)[1]));
   }
   FRIEDA_CHECK(in.next("end marker") == "end", "truncated report: missing end marker");
   return r;

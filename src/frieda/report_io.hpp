@@ -3,11 +3,10 @@
 // The multi-process sweep backend (src/exp/process_pool.hpp) executes each
 // job in a forked child and ships the outcome back to the parent over a
 // pipe.  What crosses that pipe is the text produced here: a versioned,
-// line-based, escape-aware rendering of a `core::RunReport` or
-// `rt::RtReport` that round-trips *exactly* — every double is encoded as
-// its IEEE-754 bit pattern, so a report deserialized in the parent is
-// field-identical (and therefore CSV-byte-identical) to the one the child
-// measured.  The same text is what `exp::ResultCache` persists to disk
+// line-based, escape-aware rendering of a `core::RunReport` that
+// round-trips *exactly* — every double is encoded as its IEEE-754 bit
+// pattern, so a report deserialized in the parent is field-identical (and
+// therefore CSV-byte-identical) to the one the child measured.  The same text is what `exp::ResultCache` persists to disk
 // (FRIEDA_RESULT_CACHE_FILE).
 //
 // Format (one record per line, '|'-delimited, string fields escaped with
@@ -30,11 +29,6 @@
 // mismatch, malformed field, or missing `end` marker throws FriedaError —
 // which is exactly how a child crash that truncates the stream surfaces as
 // an isolated error outcome instead of a silently corrupted report.
-//
-// Layering note: `rt::RtReport` is a plain struct declared in
-// src/runtime/rt_engine.hpp; serializing it here uses only the header (no
-// frieda_rt link dependency), keeping both codecs next to the report types
-// they mirror.
 #pragma once
 
 #include <optional>
@@ -42,10 +36,6 @@
 #include <vector>
 
 #include "frieda/report.hpp"
-
-namespace frieda::rt {
-struct RtReport;
-}  // namespace frieda::rt
 
 namespace frieda::core {
 
@@ -70,10 +60,5 @@ std::string serialize_run_report(const RunReport& report);
 /// Parse a serialized RunReport; throws FriedaError on any malformation
 /// (wrong header, truncation, count mismatch, bad field).
 RunReport deserialize_run_report(const std::string& text);
-
-/// Same pair for the threaded runtime's report (header "frieda-rt-report v1";
-/// records: sum|..., u|..., pw|<completed> per worker, end).
-std::string serialize_rt_report(const rt::RtReport& report);
-rt::RtReport deserialize_rt_report(const std::string& text);
 
 }  // namespace frieda::core

@@ -94,14 +94,6 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
     trace_born_.assign(units_.size(), 0.0);
     trace_pending_.assign(units_.size(), 0.0);
   }
-  if (options_.metrics) {
-    auto& m = *options_.metrics;
-    run_metrics_.requeues = &m.counter("run.requeues");
-    run_metrics_.evictions = &m.counter("run.evictions");
-    run_metrics_.isolations = &m.counter("run.isolations");
-    run_metrics_.master_crashes = &m.counter("run.master_crashes");
-    run_metrics_.template_patches = &m.counter("frieda.template_patches");
-  }
 
   tmpl_ = options_.exec_template.get();
   if (tmpl_ != nullptr) {
@@ -130,10 +122,7 @@ unsigned FriedaRun::workers_per_vm(cluster::VmId vm) const {
 // Execution-template instantiation (see template.hpp)
 // ---------------------------------------------------------------------------
 
-void FriedaRun::note_template_patch() {
-  ++cp_patches_;
-  if (run_metrics_.template_patches) run_metrics_.template_patches->inc();
-}
+void FriedaRun::note_template_patch() { ++cp_patches_; }
 
 std::vector<std::vector<WorkUnitId>> FriedaRun::plan_assignment(std::size_t workers) {
   ++cp_instantiations_;
@@ -317,7 +306,6 @@ void FriedaRun::crash_master(SimTime recovery_delay) {
   FRIEDA_CHECK(recovery_delay >= 0.0, "recovery delay must be >= 0");
   if (finished_ || master_down_) return;
   ++master_crashes_;
-  if (run_metrics_.master_crashes) run_metrics_.master_crashes->inc();
   if (tracer_) {
     trace_instant("master-crash", "protocol",
                   {{"recovery_s", std::to_string(recovery_delay)}});
@@ -359,7 +347,7 @@ void FriedaRun::force_requeue(WorkUnitId unit) {
   unpin_unit(unit);
   rec.status = UnitStatus::kPending;
   queue_.push_back(unit);
-  if (run_metrics_.requeues) run_metrics_.requeues->inc();
+  ++requeues_;
   mark_pending(unit);
 }
 
@@ -798,7 +786,7 @@ void FriedaRun::unit_not_completed(WorkUnitId unit) {
     unpin_unit(unit);
     rec.status = UnitStatus::kPending;
     queue_.push_back(unit);
-    if (run_metrics_.requeues) run_metrics_.requeues->inc();
+    ++requeues_;
     mark_pending(unit);
     if (tracer_) {
       trace_instant("requeue", "control",
@@ -816,7 +804,6 @@ void FriedaRun::isolate_worker(WorkerId worker) {
   if (ws.isolated || finished_) return;
   ws.isolated = true;
   ++isolated_count_;
-  if (run_metrics_.isolations) run_metrics_.isolations->inc();
   if (tracer_) {
     trace_instant("isolate-worker", "protocol",
                   {{"worker", std::to_string(worker)}, {"vm", std::to_string(ws.vm)}});
@@ -921,7 +908,7 @@ bool FriedaRun::evict_one_replica(cluster::VmId vm) {
     replicas_.remove(file, node);
     cluster_.vm(vm).disk().release(catalog_.info(file).size);
     order.erase(it);
-    if (run_metrics_.evictions) run_metrics_.evictions->inc();
+    ++evictions_;
     if (tracer_) {
       trace_instant("evict", "control", {{"file", catalog_.info(file).name},
                                          {"vm", std::to_string(vm)}});
@@ -1112,7 +1099,8 @@ obs::TelemetryTick FriedaRun::telemetry_tick_now() const {
   t.active_workers = static_cast<double>(live);
   t.active_vms = static_cast<double>(vms.size());
   t.completed = static_cast<double>(completed);
-  t.net_solves = static_cast<double>(cluster_.network().solver_invocations() - solves_baseline_);
+  t.net_solves =
+      static_cast<double>(cluster_.network().solver_invocations() - net_baseline_.solves);
   t.scale_outs = static_cast<double>(scale_outs_);
   t.scale_ins = static_cast<double>(scale_ins_);
   return t;
@@ -1406,13 +1394,8 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
 RunReport FriedaRun::run() {
   FRIEDA_CHECK(!ran_, "FriedaRun::run() may only be called once");
   ran_ = true;
-  bytes_baseline_ = cluster_.network().total_bytes_moved();
-  transfers_baseline_ = cluster_.network().transfers_started();
-  solves_baseline_ = cluster_.network().solver_invocations();
-  full_solves_baseline_ = cluster_.network().solver_full_solves();
-  dirty_classes_baseline_ = cluster_.network().solver_dirty_classes();
+  net_baseline_ = cluster_.network().counters();
   cluster_.network().set_tracer(tracer_);
-  cluster_.network().set_metrics(options_.metrics);
   if (telemetry_ != nullptr) telemetry_->begin(sim_.now(), tracer_);
 
   sim_.spawn(master_main(), "master");
@@ -1449,8 +1432,9 @@ RunReport FriedaRun::run() {
     wr.drained = ws->draining;
     report.workers.push_back(wr);
   }
-  report.bytes_moved = cluster_.network().total_bytes_moved() - bytes_baseline_;
-  report.transfers = cluster_.network().transfers_started() - transfers_baseline_;
+  const net::Network::Counters net = cluster_.network().counters().since(net_baseline_);
+  report.bytes_moved = net.bytes_moved;
+  report.transfers = net.transfers_started;
   report.workers_isolated = isolated_count_;
   report.timeline = timeline_;
   report.open_loop = open_loop();
@@ -1483,14 +1467,9 @@ RunReport FriedaRun::run() {
     ev.args.push_back({"workers", std::to_string(workers_.size())});
     // Solver activity over the run window, so frieda-trace can report the
     // incremental-solve hit rate without needing a metrics registry.
-    const auto& netw = cluster_.network();
-    ev.args.push_back(
-        {"net_solves", std::to_string(netw.solver_invocations() - solves_baseline_)});
-    ev.args.push_back({"net_full_solves",
-                       std::to_string(netw.solver_full_solves() - full_solves_baseline_)});
-    ev.args.push_back(
-        {"net_dirty_classes",
-         std::to_string(netw.solver_dirty_classes() - dirty_classes_baseline_)});
+    ev.args.push_back({"net_solves", std::to_string(net.solves)});
+    ev.args.push_back({"net_full_solves", std::to_string(net.full_solves)});
+    ev.args.push_back({"net_dirty_classes", std::to_string(net.dirty_classes)});
     // Control-plane instantiation counters, so frieda-trace can report the
     // execution-template hit rate (see template.hpp).
     ev.args.push_back({"cp_instantiations", std::to_string(cp_instantiations_)});
@@ -1514,19 +1493,31 @@ RunReport FriedaRun::run() {
     tracer_->span(std::move(ev));
   }
   if (options_.metrics) {
-    // Kernel activity snapshot for the run's report; a shared registry across
-    // sequential runs keeps the last run's snapshot (counters keep summing).
+    // Every count is written here, once, from the plain counters the run and
+    // its network keep anyway.  A shared registry across sequential runs sums
+    // the counters and keeps the last run's kernel activity snapshot.
     auto& m = *options_.metrics;
+    m.counter("net.solver_invocations").inc(net.solves);
+    m.counter("net.solver_full_solves").inc(net.full_solves);
+    m.counter("net.solver_dirty_classes").inc(net.dirty_classes);
+    m.counter("net.flows_coalesced").inc(net.flows_coalesced);
+    m.counter("net.bytes_moved").inc(net.bytes_moved);
+    m.counter("net.transfers").inc(net.transfers_finished);
+    m.counter("net.transfers_failed").inc(net.transfers_failed);
+    m.counter("run.requeues").inc(requeues_);
+    m.counter("run.evictions").inc(evictions_);
+    m.counter("run.isolations").inc(isolated_count_);
+    m.counter("run.master_crashes").inc(master_crashes_);
+    m.counter("frieda.template_patches").inc(cp_patches_);
     const auto& qc = sim_.event_counters();
     m.gauge("sim.events_scheduled").set(static_cast<double>(qc.scheduled));
     m.gauge("sim.events_cancelled").set(static_cast<double>(qc.cancelled));
     m.gauge("sim.events_fired").set(static_cast<double>(qc.fired));
     m.gauge("sim.event_slots_reused").set(static_cast<double>(qc.slots_reused));
   }
-  // Detach: the tracer/registry may not outlive this run, but the cluster's
-  // network does.
+  // Detach: the tracer may not outlive this run, but the cluster's network
+  // does.
   cluster_.network().set_tracer(nullptr);
-  cluster_.network().set_metrics(nullptr);
   return report;
 }
 

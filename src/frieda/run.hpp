@@ -43,7 +43,6 @@
 #include "storage/file.hpp"
 
 namespace frieda::obs {
-class Counter;
 class MetricsRegistry;
 class TelemetryProbe;
 struct TelemetryTick;
@@ -108,7 +107,8 @@ struct RunOptions {
                                       ///< off, zero cost on the hot path
   obs::MetricsRegistry* metrics = nullptr;  ///< opt-in named counters
                                       ///< (requeues, evictions, solver
-                                      ///< invocations, ...); nullptr = off
+                                      ///< invocations, ...), written once
+                                      ///< when run() returns; nullptr = off
   obs::TelemetryProbe* telemetry = nullptr;  ///< opt-in live telemetry: the
                                       ///< probe is ticked on its interval in
                                       ///< simulation time from serving start
@@ -315,6 +315,8 @@ class FriedaRun {
   bool common_preplaced_ = false;   ///< pre_place_*() seeded the common data too
   bool finished_ = false;
   std::size_t isolated_count_ = 0;
+  std::size_t requeues_ = 0;
+  std::size_t evictions_ = 0;
   SimTime ready_time_ = 0.0;
   SimTime staging_end_ = 0.0;
   SimTime end_time_ = 0.0;
@@ -354,24 +356,14 @@ class FriedaRun {
   std::size_t failure_token_ = 0;  ///< cluster observer registrations,
   std::size_t running_token_ = 0;  ///< released in the destructor
 
-  Bytes bytes_baseline_ = 0;
-  std::uint64_t transfers_baseline_ = 0;
-  std::uint64_t solves_baseline_ = 0;
-  std::uint64_t full_solves_baseline_ = 0;
-  std::uint64_t dirty_classes_baseline_ = 0;
+  net::Network::Counters net_baseline_;  ///< network counters when run() began
 
   // Observability state: tracer_ mirrors options_.tracer (hot-path guard),
-  // the counters are resolved once from options_.metrics in the constructor,
   // and the per-unit timestamps back the pending/unit lifecycle spans.
+  // options_.metrics is only written at the end of run(), from the plain
+  // counters above.
   obs::Tracer* tracer_ = nullptr;
   obs::TelemetryProbe* telemetry_ = nullptr;  ///< mirrors options_.telemetry
-  struct {
-    obs::Counter* requeues = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* isolations = nullptr;
-    obs::Counter* master_crashes = nullptr;
-    obs::Counter* template_patches = nullptr;
-  } run_metrics_;
 
   // Execution-template state: tmpl_ mirrors options_.exec_template (kept
   // alive by it), audit_ snapshots the store's differential-check mode at

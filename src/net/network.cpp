@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace frieda::net {
@@ -45,18 +44,17 @@ Network::Network(sim::Simulation& sim, Topology topology, SimTime latency, Bandw
   FRIEDA_CHECK(loopback_ > 0.0, "loopback bandwidth must be > 0");
 }
 
-void Network::set_metrics(obs::MetricsRegistry* registry) {
-  if (!registry) {
-    metrics_ = {};
-    return;
-  }
-  metrics_.solver_invocations = &registry->counter("net.solver_invocations");
-  metrics_.solver_full_solves = &registry->counter("net.solver_full_solves");
-  metrics_.solver_dirty_classes = &registry->counter("net.solver_dirty_classes");
-  metrics_.flows_coalesced = &registry->counter("net.flows_coalesced");
-  metrics_.bytes_moved = &registry->counter("net.bytes_moved");
-  metrics_.transfers = &registry->counter("net.transfers");
-  metrics_.transfers_failed = &registry->counter("net.transfers_failed");
+Network::Counters Network::Counters::since(const Counters& base) const {
+  Counters d;
+  d.bytes_moved = bytes_moved - base.bytes_moved;
+  d.transfers_started = transfers_started - base.transfers_started;
+  d.transfers_finished = transfers_finished - base.transfers_finished;
+  d.transfers_failed = transfers_failed - base.transfers_failed;
+  d.solves = solves - base.solves;
+  d.full_solves = full_solves - base.full_solves;
+  d.dirty_classes = dirty_classes - base.dirty_classes;
+  d.flows_coalesced = flows_coalesced - base.flows_coalesced;
+  return d;
 }
 
 void Network::finish_transfer(NodeId src, NodeId dst, TransferResult& result,
@@ -66,12 +64,9 @@ void Network::finish_transfer(NodeId src, NodeId dst, TransferResult& result,
   if (traffic_.size() <= hi) traffic_.resize(std::max<std::size_t>(topology_.node_count(), hi + 1));
   traffic_[src].bytes_sent += result.transferred;
   traffic_[dst].bytes_received += result.transferred;
-  total_bytes_moved_ += result.transferred;
-  if (metrics_.transfers) {
-    metrics_.transfers->inc();
-    metrics_.bytes_moved->inc(result.transferred);
-    if (!result.ok()) metrics_.transfers_failed->inc();
-  }
+  counters_.bytes_moved += result.transferred;
+  ++counters_.transfers_finished;
+  if (!result.ok()) ++counters_.transfers_failed;
   if (tracer_) {
     const double dur = result.duration();
     obs::TraceEvent ev;
@@ -86,7 +81,7 @@ void Network::finish_transfer(NodeId src, NodeId dst, TransferResult& result,
                {"rate_bps", std::to_string(dur > 0.0
                                 ? static_cast<double>(result.transferred) / dur
                                 : 0.0)},
-               {"recomputes", std::to_string(solves_ - solves_at_start)},
+               {"recomputes", std::to_string(counters_.solves - solves_at_start)},
                {"status", result.ok() ? "ok" : "failed"}};
     tracer_->span(std::move(ev));
   }
@@ -166,8 +161,8 @@ sim::Task<TransferResult> Network::transfer(NodeId src, NodeId dst, Bytes bytes,
   FRIEDA_CHECK(src < topology_.node_count() && dst < topology_.node_count(),
                "transfer endpoints out of range");
   FRIEDA_CHECK(streams >= 1, "transfer needs at least one stream");
-  ++transfers_started_;
-  const std::uint64_t solves_at_start = solves_;
+  ++counters_.transfers_started;
+  const std::uint64_t solves_at_start = counters_.solves;
   TransferResult result;
   result.requested = bytes;
   result.started = sim_.now();
@@ -362,8 +357,7 @@ void Network::full_solve() {
     rebuild_class_resources(cls);
     attach_class(slot);
   }
-  ++full_solves_;
-  if (metrics_.solver_full_solves) metrics_.solver_full_solves->inc();
+  ++counters_.full_solves;
   solve_component(/*full=*/true);
 }
 
@@ -434,13 +428,9 @@ void Network::solve_component(bool full) {
     component_flows += cls.heap.size();
   }
 
-  ++solves_;
-  dirty_classes_total_ += nc;
-  if (metrics_.solver_invocations) {
-    metrics_.solver_invocations->inc();
-    metrics_.solver_dirty_classes->inc(nc);
-    metrics_.flows_coalesced->inc(component_flows - nc);
-  }
+  ++counters_.solves;
+  counters_.dirty_classes += nc;
+  counters_.flows_coalesced += component_flows - nc;
   max_min_fair_rates_weighted(dense_caps_, solver_classes_.data(), nc, fair_scratch_,
                               class_rates_);
 

@@ -41,8 +41,6 @@
 #include "sim/task.hpp"
 
 namespace frieda::obs {
-class Counter;
-class MetricsRegistry;
 class Tracer;
 }  // namespace frieda::obs
 
@@ -78,6 +76,23 @@ struct NodeTraffic {
 /// The network service.  One instance per simulation.
 class Network {
  public:
+  /// Cumulative activity counters, always kept (plain integers, no
+  /// observer needed).  A run exports the delta between two snapshots as
+  /// its `net.*` metrics (see core::FriedaRun::run).
+  struct Counters {
+    Bytes bytes_moved = 0;                ///< incl. partial bytes of failed transfers
+    std::uint64_t transfers_started = 0;
+    std::uint64_t transfers_finished = 0; ///< every exit path, failed ones included
+    std::uint64_t transfers_failed = 0;
+    std::uint64_t solves = 0;             ///< component re-solves + full solves
+    std::uint64_t full_solves = 0;        ///< invalidation-forced global solves
+    std::uint64_t dirty_classes = 0;      ///< sum of per-solve dirty-set sizes
+    std::uint64_t flows_coalesced = 0;    ///< sum of per-solve (flows - classes)
+
+    /// Field-wise `*this - base` (counters only grow).
+    Counters since(const Counters& base) const;
+  };
+
   /// Construct over a topology.  `latency` is the per-transfer setup cost
   /// (connection establishment; the paper uses scp per file).  `loopback`
   /// is the rate for src==dst copies, which bypass the NIC.
@@ -121,11 +136,14 @@ class Network {
   /// Per-node accounting of completed traffic.
   NodeTraffic traffic(NodeId node) const;
 
+  /// Snapshot of every activity counter.
+  const Counters& counters() const { return counters_; }
+
   /// Total bytes moved by transfers (including partial bytes of failed ones).
-  Bytes total_bytes_moved() const { return total_bytes_moved_; }
+  Bytes total_bytes_moved() const { return counters_.bytes_moved; }
 
   /// Total number of transfers started.
-  std::uint64_t transfers_started() const { return transfers_started_; }
+  std::uint64_t transfers_started() const { return counters_.transfers_started; }
 
   /// Time integral bookkeeping hook: called with every finished transfer,
   /// on every exit path (completed, failed at setup, failed mid-flight).
@@ -138,22 +156,16 @@ class Network {
   /// hot path then only pays a pointer test.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach a metrics registry; the network's counters (net.solver_invocations,
-  /// net.solver_full_solves, net.solver_dirty_classes, net.flows_coalesced,
-  /// net.bytes_moved, net.transfers, net.transfers_failed) are resolved once
-  /// here and incremented by cached pointer afterwards.
-  void set_metrics(obs::MetricsRegistry* registry);
-
   /// Fluid-solver invocations so far (component re-solves + full solves).
-  std::uint64_t solver_invocations() const { return solves_; }
+  std::uint64_t solver_invocations() const { return counters_.solves; }
 
   /// Solves that rebuilt everything (invalidation: topology mutation or node
   /// failure/restore).  solves() - full_solves() is the incremental hit count.
-  std::uint64_t solver_full_solves() const { return full_solves_; }
+  std::uint64_t solver_full_solves() const { return counters_.full_solves; }
 
   /// Total classes re-solved across all solves (the dirty-set sizes); the
   /// average dirty set is this over solver_invocations().
-  std::uint64_t solver_dirty_classes() const { return dirty_classes_total_; }
+  std::uint64_t solver_dirty_classes() const { return counters_.dirty_classes; }
 
   /// Test hook: after every incremental solve, run a fresh full solve on the
   /// side and check every active class's stored rate against it (throws
@@ -261,25 +273,12 @@ class Network {
   FairshareScratch fair_scratch_;
 
   std::vector<NodeTraffic> traffic_;  ///< indexed by node id (dense hot path)
-  Bytes total_bytes_moved_ = 0;
-  std::uint64_t transfers_started_ = 0;
-  std::uint64_t solves_ = 0;        ///< fluid-solver invocations (always counted)
-  std::uint64_t full_solves_ = 0;   ///< invalidation-forced global solves
-  std::uint64_t dirty_classes_total_ = 0;  ///< sum of per-solve dirty-set sizes
+  Counters counters_;
   bool differential_check_ = false;
   std::function<void(NodeId, NodeId, const TransferResult&)> observer_;
 
-  // ---- observability taps (null = disabled; see docs/observability.md) ----
+  // ---- observability tap (null = disabled; see docs/observability.md) ----
   obs::Tracer* tracer_ = nullptr;
-  struct {
-    obs::Counter* solver_invocations = nullptr;
-    obs::Counter* solver_full_solves = nullptr;
-    obs::Counter* solver_dirty_classes = nullptr;
-    obs::Counter* flows_coalesced = nullptr;
-    obs::Counter* bytes_moved = nullptr;
-    obs::Counter* transfers = nullptr;
-    obs::Counter* transfers_failed = nullptr;
-  } metrics_;
 };
 
 }  // namespace frieda::net

@@ -1,5 +1,7 @@
 #include "workload/scenario_config.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -34,6 +36,17 @@ std::vector<std::pair<cluster::VmId, SimTime>> parse_failures(const std::string&
   return out;
 }
 
+/// Read a count key.  Negative values and values `T` cannot hold are
+/// rejected with an error naming the key, instead of wrapping in a cast.
+template <typename T>
+T get_count(const Config& config, const std::string& key, T def) {
+  const std::int64_t v = config.get_int(key, static_cast<std::int64_t>(def));
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  FRIEDA_CHECK(v >= 0 && static_cast<std::uint64_t>(v) <= kMax,
+               "count " << key << " must be in [0, " << kMax << "], got " << v);
+  return static_cast<T>(v);
+}
+
 }  // namespace
 
 core::RunReport run_scenario(const Config& config) {
@@ -50,14 +63,13 @@ core::RunReport run_scenario(const Config& config) {
   cluster::VirtualCluster cluster(sim, copts);
 
   auto type = cluster::c1_xlarge();
-  type.cores = static_cast<unsigned>(config.get_int("cluster.cores", 4));
+  type.cores = get_count(config, "cluster.cores", 4u);
   type.nic_up = mbps(nic);
   type.nic_down = mbps(nic);
   type.disk_capacity =
       static_cast<Bytes>(config.get_double("cluster.disk_gib", 20.0) * static_cast<double>(GiB));
   type.boot_time = config.get_double("cluster.boot_s", 0.0);
-  const auto vms =
-      cluster.provision(type, static_cast<std::size_t>(config.get_int("cluster.vms", 4)));
+  const auto vms = cluster.provision(type, get_count<std::size_t>(config, "cluster.vms", 4));
 
   // ---- workload ----
   const auto kind = strutil::lower(config.get_string("workload.kind", "synthetic"));
@@ -65,7 +77,7 @@ core::RunReport run_scenario(const Config& config) {
   const storage::FileCatalog* catalog = nullptr;
   if (kind == "synthetic") {
     SyntheticParams params;
-    params.file_count = static_cast<std::size_t>(config.get_int("workload.files", 200));
+    params.file_count = get_count<std::size_t>(config, "workload.files", 200);
     params.mean_file_bytes =
         static_cast<Bytes>(config.get_double("workload.file_mb", 4.0) * 1e6);
     params.file_size_cv = config.get_double("workload.file_cv", 0.0);
@@ -117,7 +129,7 @@ core::RunReport run_scenario(const Config& config) {
   options.multicore = config.get_bool("run.multicore", true);
   options.requeue_on_failure = config.get_bool("run.requeue", false);
   options.prefetch = static_cast<int>(config.get_int("run.prefetch", 1));
-  options.transfer_streams = static_cast<unsigned>(config.get_int("run.streams", 1));
+  options.transfer_streams = get_count(config, "run.streams", 1u);
   options.locality_aware = config.get_bool("run.locality_aware", false);
 
   auto units = core::PartitionGenerator::generate(options.scheme, *catalog);
@@ -146,14 +158,11 @@ core::RunReport run_scenario(const Config& config) {
     if (policy == "reactive") {
       auto& ep = options.elastic_policy;
       ep.enabled = true;
-      ep.scale_out_depth =
-          static_cast<std::size_t>(config.get_int("service.scale_out_depth", 16));
-      ep.scale_in_depth =
-          static_cast<std::size_t>(config.get_int("service.scale_in_depth", 2));
+      ep.scale_out_depth = get_count<std::size_t>(config, "service.scale_out_depth", 16);
+      ep.scale_in_depth = get_count<std::size_t>(config, "service.scale_in_depth", 2);
       ep.check_interval = config.get_double("service.check_interval_s", 5.0);
-      ep.hysteresis = static_cast<int>(config.get_int("service.hysteresis", 3));
-      ep.max_extra_vms =
-          static_cast<std::size_t>(config.get_int("service.max_extra_vms", 4));
+      ep.hysteresis = get_count(config, "service.hysteresis", 3);
+      ep.max_extra_vms = get_count<std::size_t>(config, "service.max_extra_vms", 4);
     }
   }
 
@@ -173,7 +182,7 @@ core::RunReport run_scenario(const Config& config) {
     injector.schedule(vm, when);
   }
   const double add_at = config.get_double("events.add_vms_at", 0.0);
-  const auto add_count = static_cast<std::size_t>(config.get_int("events.add_vms", 0));
+  const auto add_count = get_count<std::size_t>(config, "events.add_vms", 0);
   if (add_at > 0.0 && add_count > 0) {
     sim.schedule_at(add_at, [&run, type, add_count] {
       for (std::size_t i = 0; i < add_count; ++i) run.add_vm(type);

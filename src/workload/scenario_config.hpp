@@ -32,7 +32,9 @@
 namespace frieda::workload {
 
 /// Execute the configured scenario to completion.
-/// Throws FriedaError on unknown kinds/strategies/schemes or bad values.
+/// Throws FriedaError on unknown kinds/strategies/schemes or bad values,
+/// including a count key (vms, cores, files, streams, add_vms, the service
+/// policy's depths/hysteresis/max_extra_vms) that is negative or too large.
 core::RunReport run_scenario(const Config& config);
 
 /// Convenience: parse `text` as INI and run it.

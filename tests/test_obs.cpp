@@ -10,16 +10,20 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "frieda/partition.hpp"
+#include "frieda/run.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/rt_engine.hpp"
 #include "workload/scenarios.hpp"
+#include "workload/synthetic.hpp"
 
 namespace frieda::obs {
 namespace {
@@ -554,6 +558,94 @@ TEST(TracedFig6a, ExportersWriteFiles) {
   EXPECT_GT(fs::file_size(csv_path), 0u);
   EXPECT_GT(fs::file_size(metrics_path), 0u);
   fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Run counter export: one registry shared by three fault-driven runs, pinned
+// to its exact csv() text so any change to what a run counts, or to when it
+// writes the counts, shows up as a diff.
+// ---------------------------------------------------------------------------
+
+struct FaultRun {
+  std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<cluster::VirtualCluster> cluster;
+  std::unique_ptr<workload::SyntheticModel> app;
+  std::vector<core::WorkUnit> units;
+  std::vector<cluster::VmId> vms;
+};
+
+FaultRun make_fault_run(std::uint64_t seed, Bytes disk, workload::SyntheticParams params) {
+  FaultRun s;
+  s.sim = std::make_unique<sim::Simulation>(seed);
+  s.cluster = std::make_unique<cluster::VirtualCluster>(*s.sim);
+  auto type = cluster::c1_xlarge();
+  type.boot_time = 0.0;
+  type.cores = 2;
+  type.disk_capacity = disk;
+  s.vms = s.cluster->provision(type, 2);
+  s.app = std::make_unique<workload::SyntheticModel>(params);
+  s.units =
+      core::PartitionGenerator::generate(core::PartitionScheme::kSingleFile, s.app->catalog());
+  return s;
+}
+
+workload::SyntheticParams fault_load(Bytes file_bytes, double task_seconds) {
+  workload::SyntheticParams params;
+  params.file_count = 30;
+  params.mean_file_bytes = file_bytes;
+  params.mean_task_seconds = task_seconds;
+  params.output_bytes = 0;
+  return params;
+}
+
+TEST(RunMetricsExport, FaultRunsExportPinnedCounters) {
+  MetricsRegistry m;
+  core::RunOptions opt;
+  opt.strategy = core::PlacementStrategy::kRealTime;
+  opt.metrics = &m;
+  const core::CommandTemplate cmd("app $inp1");
+
+  {  // A VM dies mid-transfer: isolations, a failed transfer, requeues.
+    auto s = make_fault_run(7, 100 * GiB, fault_load(15 * MB, 2.0));
+    auto ropt = opt;
+    ropt.requeue_on_failure = true;
+    core::FriedaRun run(*s.cluster, s.app->catalog(), s.units, *s.app, cmd, ropt);
+    cluster::FailureInjector injector(*s.cluster);
+    injector.schedule(s.vms[1], 5.0);
+    EXPECT_TRUE(run.run().all_completed());
+  }
+  {  // A disk that holds ~4 of 30 inputs: evictions.
+    auto s = make_fault_run(21, 40 * MB, fault_load(10 * MB, 1.0));
+    core::FriedaRun run(*s.cluster, s.app->catalog(), s.units, *s.app, cmd, opt);
+    EXPECT_TRUE(run.run().all_completed());
+  }
+  {  // The master dies mid-staging: a master crash and its requeues.
+    auto s = make_fault_run(5, 100 * GiB, fault_load(15 * MB, 2.0));
+    core::FriedaRun run(*s.cluster, s.app->catalog(), s.units, *s.app, cmd, opt);
+    s.sim->schedule_at(20.0, [&run] { run.crash_master(15.0); });
+    EXPECT_TRUE(run.run().all_completed());
+  }
+
+  // The sim.* gauges are the last run's snapshot; every counter sums all
+  // three runs.
+  EXPECT_EQ(m.csv(),
+            "name,kind,value\n"
+            "frieda.template_patches,counter,0\n"
+            "net.bytes_moved,counter,1291200000\n"
+            "net.flows_coalesced,counter,249\n"
+            "net.solver_dirty_classes,counter,160\n"
+            "net.solver_full_solves,counter,4\n"
+            "net.solver_invocations,counter,110\n"
+            "net.transfers,counter,98\n"
+            "net.transfers_failed,counter,4\n"
+            "run.evictions,counter,22\n"
+            "run.isolations,counter,2\n"
+            "run.master_crashes,counter,1\n"
+            "run.requeues,counter,12\n"
+            "sim.event_slots_reused,gauge,252\n"
+            "sim.events_cancelled,gauge,4\n"
+            "sim.events_fired,gauge,263\n"
+            "sim.events_scheduled,gauge,267\n");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Wire-codec tests for frieda/report_io.hpp: exact double round-trips via
 // bit patterns, escape-aware field splitting, RunReport serialize ->
 // deserialize field-by-field identity across every placement strategy
-// (including an open-loop service run with latency samples), RtReport
-// round-trips, and strict rejection of truncated or malformed text — the
-// property the process sweep backend's crash isolation rests on.
+// (including an open-loop service run with latency samples), and strict
+// rejection of truncated or malformed text — the property the process sweep
+// backend's crash isolation rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "frieda/report.hpp"
 #include "frieda/report_io.hpp"
-#include "runtime/rt_engine.hpp"
 #include "workload/scenarios.hpp"
 
 namespace frieda::core {
@@ -216,50 +215,6 @@ TEST(RunReportIo, DeserializeRejectsMalformedText) {
   ASSERT_NE(pos, std::string::npos);
   corrupt.replace(pos, 6, "units|x");
   EXPECT_THROW(deserialize_run_report(corrupt), FriedaError);
-}
-
-// ---------------------------------------------------------------------------
-// RtReport round-trip (synthetic: the codec is field transport, the engine
-// itself is covered by test_runtime).
-// ---------------------------------------------------------------------------
-
-TEST(RtReportIo, RoundTripsFieldIdentically) {
-  rt::RtReport r;
-  r.makespan = 12.75;
-  r.staging_seconds = 0.375;
-  r.units_completed = 3;
-  r.units_failed = 1;
-  r.bytes_staged = 123456789ull;
-  r.units = {{0, 1, true, 0.5, 1.25}, {1, 0, true, 0.0, 2.5}, {2, 1, false, 0.25, 0.0}};
-  r.per_worker_completed = {2, 1};
-
-  const std::string wire = serialize_rt_report(r);
-  const rt::RtReport back = deserialize_rt_report(wire);
-  EXPECT_EQ(back.makespan, r.makespan);
-  EXPECT_EQ(back.staging_seconds, r.staging_seconds);
-  EXPECT_EQ(back.units_completed, r.units_completed);
-  EXPECT_EQ(back.units_failed, r.units_failed);
-  EXPECT_EQ(back.bytes_staged, r.bytes_staged);
-  ASSERT_EQ(back.units.size(), r.units.size());
-  for (std::size_t i = 0; i < r.units.size(); ++i) {
-    EXPECT_EQ(back.units[i].unit, r.units[i].unit);
-    EXPECT_EQ(back.units[i].worker, r.units[i].worker);
-    EXPECT_EQ(back.units[i].ok, r.units[i].ok);
-    EXPECT_EQ(back.units[i].transfer_seconds, r.units[i].transfer_seconds);
-    EXPECT_EQ(back.units[i].exec_seconds, r.units[i].exec_seconds);
-  }
-  EXPECT_EQ(back.per_worker_completed, r.per_worker_completed);
-  EXPECT_EQ(serialize_rt_report(back), wire);
-}
-
-TEST(RtReportIo, DeserializeRejectsTruncationAndWrongHeader) {
-  rt::RtReport r;
-  r.makespan = 1.0;
-  const std::string wire = serialize_rt_report(r);
-  EXPECT_THROW(deserialize_rt_report(""), FriedaError);
-  EXPECT_THROW(deserialize_rt_report("frieda-run-report v1\nend\n"), FriedaError);
-  EXPECT_THROW(deserialize_rt_report(wire.substr(0, wire.size() - 4)), FriedaError);
-  EXPECT_THROW(deserialize_rt_report(wire.substr(0, wire.size() / 2)), FriedaError);
 }
 
 }  // namespace

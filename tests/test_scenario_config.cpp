@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace frieda::workload {
@@ -118,6 +120,41 @@ TEST(ScenarioConfig, BadValuesThrow) {
   EXPECT_THROW(run_scenario_text("[run]\nscheme = zigzag\n"), FriedaError);
   EXPECT_THROW(run_scenario_text("[events]\nfail = banana\n"), FriedaError);
   EXPECT_THROW(run_scenario_text("[events]\nfail = 99@10\n"), FriedaError);
+}
+
+/// Expect `text` to be rejected with a FriedaError that names `key`.
+void expect_count_rejected(const std::string& text, const std::string& key) {
+  try {
+    run_scenario_text(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const FriedaError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(ScenarioConfig, NegativeCountsAreRejectedByName) {
+  // Cast unchecked, each of these wraps into a huge count: vms/files then
+  // throw std::length_error, streams/cores/add_vms run without end.
+  expect_count_rejected("[cluster]\nvms = -1\n", "cluster.vms");
+  expect_count_rejected("[cluster]\ncores = -2\n", "cluster.cores");
+  expect_count_rejected("[workload]\nfiles = -3\n", "workload.files");
+  expect_count_rejected("[run]\nstreams = -1\n", "run.streams");
+  expect_count_rejected("[events]\nadd_vms_at = 5\nadd_vms = -1\n", "events.add_vms");
+  const std::string reactive = "[service]\narrivals = poisson\nelastic_policy = reactive\n";
+  expect_count_rejected(reactive + "scale_out_depth = -1\n", "service.scale_out_depth");
+  expect_count_rejected(reactive + "scale_in_depth = -1\n", "service.scale_in_depth");
+  expect_count_rejected(reactive + "hysteresis = -1\n", "service.hysteresis");
+  expect_count_rejected(reactive + "max_extra_vms = -1\n", "service.max_extra_vms");
+}
+
+TEST(ScenarioConfig, CountsBeyondTheTargetTypeAreRejectedByName) {
+  // 2^32 does not fit the unsigned core/stream counts; 2^31 does not fit
+  // the int hysteresis window.
+  expect_count_rejected("[cluster]\ncores = 4294967296\n", "cluster.cores");
+  expect_count_rejected("[run]\nstreams = 4294967296\n", "run.streams");
+  expect_count_rejected(
+      "[service]\narrivals = poisson\nelastic_policy = reactive\nhysteresis = 2147483648\n",
+      "service.hysteresis");
 }
 
 TEST(ScenarioConfig, SharedVolumeStrategyProvisionsStorage) {

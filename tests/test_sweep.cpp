@@ -31,7 +31,6 @@
 #include "exp/result_cache.hpp"
 #include "exp/sweep.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report_sink.hpp"
 #include "workload/scenarios.hpp"
 
 namespace frieda::exp {
@@ -759,180 +758,6 @@ TEST(Calibrator, GridStampsCalibratedCostsAndCalibrationTags) {
   pinned.add_blast(PlacementStrategy::kRealTime, opt);
   auto raw_jobs = pinned.take();
   EXPECT_DOUBLE_EQ(raw_jobs[0].cost, raw);
-}
-
-// ---------------------------------------------------------------------------
-// Live progress reporting (opt-in; silent by default).
-// ---------------------------------------------------------------------------
-
-std::string read_all(std::FILE* f) {
-  std::fflush(f);
-  std::rewind(f);
-  std::string text;
-  char buf[256];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  return text;
-}
-
-TEST(Progress, ReporterPrintsThrottledUpdatesAndFinishLine) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  obs::ProgressOptions popt;
-  popt.min_interval_s = 0.0;  // print every update
-  popt.out = sink;
-  obs::ProgressReporter reporter(popt);
-
-  SweepRunner<int> runner(SweepOptions{2});
-  runner.set_cache(nullptr);
-  runner.set_progress(&reporter);
-  std::vector<Job<int>> jobs;
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back({"p" + std::to_string(i), [i] { return i; }});
-  }
-  const auto out = runner.run(std::move(jobs));
-  for (const auto& o : out) EXPECT_TRUE(o.ok());
-
-  EXPECT_GE(reporter.lines_printed(), 2u);  // >=1 update + the finish line
-  const std::string text = read_all(sink);
-  EXPECT_NE(text.find("sweep: ["), std::string::npos);
-  EXPECT_NE(text.find("[4/4] done"), std::string::npos);
-  std::fclose(sink);
-}
-
-TEST(Progress, ThrottleSuppressesIntermediateLines) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  obs::ProgressOptions popt;
-  popt.min_interval_s = 3600.0;  // nothing but the first update + finish
-  popt.out = sink;
-  popt.label = "grid";
-  obs::ProgressReporter reporter(popt);
-
-  reporter.begin(8, 8.0);
-  for (int i = 1; i <= 8; ++i) reporter.update(static_cast<std::size_t>(i), 0, i, 0.001 * i);
-  reporter.finish(8, 8, 0.01);
-  EXPECT_EQ(reporter.lines_printed(), 2u);
-  const std::string text = read_all(sink);
-  EXPECT_NE(text.find("grid: [1/8]"), std::string::npos);
-  EXPECT_NE(text.find("grid: [8/8] done"), std::string::npos);
-  std::fclose(sink);
-}
-
-TEST(Progress, EtaIsCostWeighted) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  obs::ProgressOptions popt;
-  popt.min_interval_s = 0.0;
-  popt.out = sink;
-  obs::ProgressReporter reporter(popt);
-  // Half the cost done in 10 s => eta ~10 s even though only 1 of 4 jobs
-  // finished (the longest-first schedule front-loads the expensive cells).
-  reporter.begin(4, 100.0);
-  reporter.update(1, 3, 50.0, 10.0);
-  const std::string text = read_all(sink);
-  EXPECT_NE(text.find("[1/4] 3 in flight, eta ~10s"), std::string::npos);
-  std::fclose(sink);
-}
-
-TEST(Progress, EtaExcludesMemoizedJobsFromCountFallback) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  obs::ProgressOptions popt;
-  popt.min_interval_s = 0.0;
-  popt.out = sink;
-  obs::ProgressReporter reporter(popt);
-  // Duplicate-heavy grid without cost estimates: 8 of 10 jobs were served
-  // from the cache at t=0.  After the first *real* job finishes at t=10,
-  // half the real work remains, so eta ~10s — counting the served jobs at
-  // full weight would have claimed 9/10 done and an eta near 1 s.
-  reporter.begin(10, 0.0, /*served_jobs=*/8);
-  reporter.update(9, 1, 0.0, 10.0);
-  const std::string text = read_all(sink);
-  EXPECT_NE(text.find("[9/10] 1 in flight, eta ~10s"), std::string::npos);
-  std::fclose(sink);
-}
-
-TEST(Progress, DuplicateHeavyGridReportsServedJobsWithoutSkewingEta) {
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  obs::ProgressOptions popt;
-  popt.min_interval_s = 0.0;
-  popt.out = sink;
-  obs::ProgressReporter reporter(popt);
-
-  // 12 jobs, only 3 distinct fingerprints: 9 are in-batch twins served at
-  // zero cost.  Zero cost estimates force the count fallback — the path
-  // that used to weight memoized jobs at full per-job cost.
-  ResultCache<int> cache;
-  SweepRunner<int> runner(SweepOptions{2});
-  runner.set_cache(&cache);
-  runner.set_progress(&reporter);
-  std::vector<Job<int>> jobs;
-  for (int i = 0; i < 12; ++i) {
-    StableHasher h;
-    const auto fp = h.mix_str("dup-eta").mix_u64(static_cast<std::uint64_t>(i % 3)).digest();
-    jobs.push_back({"dup" + std::to_string(i), [i] { return i % 3; },
-                    fp, /*cost=*/0.0});
-  }
-  const auto out = runner.run(std::move(jobs));
-  for (const auto& o : out) EXPECT_TRUE(o.ok());
-  EXPECT_EQ(runner.cache_hits(), 9u);
-
-  const std::string text = read_all(sink);
-  // Every update line counts the 9 served jobs as already complete...
-  EXPECT_NE(text.find("[10/12]"), std::string::npos);
-  EXPECT_NE(text.find("[12/12] done"), std::string::npos);
-  // ...but the first real completion must not claim the batch is 10/12
-  // done rate-wise: 2 of 3 real jobs remain, so the eta is about twice
-  // the elapsed time, far above the ~0.2x the inflated count implied.
-  // (Wall times are nondeterministic, so assert structure, not digits.)
-  EXPECT_EQ(text.find("[9/12]"), std::string::npos);  // updates fire post-completion
-  std::fclose(sink);
-}
-
-TEST(Progress, FromEnvDisabledByDefault) {
-  ::unsetenv("FRIEDA_SWEEP_PROGRESS");
-  EXPECT_EQ(obs::ProgressReporter::from_env(), nullptr);
-  ::setenv("FRIEDA_SWEEP_PROGRESS", "0", 1);
-  EXPECT_EQ(obs::ProgressReporter::from_env(), nullptr);
-  ::setenv("FRIEDA_SWEEP_PROGRESS", "2.5", 1);
-  EXPECT_NE(obs::ProgressReporter::from_env(), nullptr);
-  ::setenv("FRIEDA_SWEEP_PROGRESS", "yes", 1);
-  EXPECT_NE(obs::ProgressReporter::from_env(), nullptr);
-  ::unsetenv("FRIEDA_SWEEP_PROGRESS");
-}
-
-TEST(Progress, ParseIntervalEnvAcceptsSecondsOnly) {
-  using obs::ProgressReporter;
-  // Valid: plain seconds in [0, kMaxIntervalSeconds].
-  EXPECT_DOUBLE_EQ(ProgressReporter::parse_interval_env("0"), 0.0);
-  EXPECT_DOUBLE_EQ(ProgressReporter::parse_interval_env("2.5"), 2.5);
-  EXPECT_DOUBLE_EQ(ProgressReporter::parse_interval_env("0.25"), 0.25);
-  EXPECT_DOUBLE_EQ(ProgressReporter::parse_interval_env("1e2"), 100.0);
-  EXPECT_DOUBLE_EQ(ProgressReporter::parse_interval_env("86400"),
-                   ProgressReporter::kMaxIntervalSeconds);
-  // Invalid: unset/empty, trailing junk, negatives, NaN/inf, out of range.
-  EXPECT_LT(ProgressReporter::parse_interval_env(nullptr), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env(""), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("yes"), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("2.5s"), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("1,5"), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("-1"), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("nan"), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("inf"), 0.0);
-  EXPECT_LT(ProgressReporter::parse_interval_env("86401"), 0.0);
-}
-
-TEST(Progress, FromEnvInvalidValueFallsBackToDefaultInterval) {
-  // Setting the variable expressed intent to see progress: a typo degrades
-  // to the default interval (loudly, via kWarn) instead of going silent.
-  ::setenv("FRIEDA_SWEEP_PROGRESS", "fast", 1);
-  const auto reporter = obs::ProgressReporter::from_env();
-  ASSERT_NE(reporter, nullptr);
-  ::setenv("FRIEDA_SWEEP_PROGRESS", "-3", 1);
-  EXPECT_NE(obs::ProgressReporter::from_env(), nullptr);
-  ::unsetenv("FRIEDA_SWEEP_PROGRESS");
 }
 
 // ---------------------------------------------------------------------------

@@ -45,9 +45,8 @@ int usage(const char* argv0) {
 }
 
 /// Strict non-negative integer parse for CLI counts (--path, --width):
-/// full consumption, no sign, no range overflow — same contract as the
-/// FRIEDA_SWEEP_PROGRESS interval parser, so a typo fails loudly instead of
-/// silently becoming 0.
+/// full consumption, no sign, no range overflow, so a typo fails loudly
+/// instead of silently becoming 0.
 bool parse_count(const char* text, std::size_t& out) {
   if (text == nullptr || *text == '\0') return false;
   if (std::strchr(text, '-') != nullptr) return false;  // strtoul accepts "-1"
