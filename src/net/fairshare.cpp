@@ -1,6 +1,6 @@
 #include "net/fairshare.hpp"
 
-#include <limits>
+#include <ranges>
 
 #include "common/error.hpp"
 
@@ -8,76 +8,9 @@ namespace frieda::net {
 
 namespace {
 
-// Progressive filling over coalesced classes.  `res_of(c)` yields class c's
-// resource list, `count_of(c)` its member count.  Writes the per-flow rate of
-// each class into `rate` (pre-sized to nc, zero-initialised).
-//
-// Freezing a class subtracts the share once per member rather than
-// count*share in one multiply: every member of a round's freeze set receives
-// exactly the round's bottleneck share, so the repeated subtraction keeps the
-// residuals bit-identical to running the flat per-flow solver — coalescing is
-// a pure speedup, not a semantic change.
-template <typename ResOf, typename CountOf>
-void solve(const std::vector<Bandwidth>& capacities, std::size_t nc, ResOf res_of,
-           CountOf count_of, FairshareScratch& scratch, std::vector<Bandwidth>& rate) {
-  const std::size_t nr = capacities.size();
-
-  // Residual capacity per resource and number of unfrozen flows crossing it.
-  auto& residual = scratch.residual;
-  auto& unfrozen_count = scratch.unfrozen;
-  auto& frozen = scratch.frozen;
-  residual.assign(capacities.begin(), capacities.end());
-  unfrozen_count.assign(nr, 0);
-  frozen.assign(nc, 0);
-
-  for (std::size_t c = 0; c < nc; ++c) {
-    FRIEDA_CHECK(!res_of(c).empty(), "flow class " << c << " traverses no resources");
-    for (std::size_t r : res_of(c)) {
-      FRIEDA_CHECK(r < nr, "flow class " << c << " references resource " << r << " out of range");
-      unfrozen_count[r] += count_of(c);
-    }
-  }
-
-  std::size_t remaining = nc;
-  while (remaining > 0) {
-    // Find the bottleneck resource: smallest equal share among resources
-    // that still carry unfrozen flows.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < nr; ++r) {
-      if (unfrozen_count[r] == 0) continue;
-      const double share = std::max(residual[r], 0.0) / static_cast<double>(unfrozen_count[r]);
-      best_share = std::min(best_share, share);
-    }
-    if (best_share == std::numeric_limits<double>::infinity()) break;  // orphan flows
-
-    // Freeze every unfrozen class that crosses a resource at the bottleneck
-    // share.  (All resources whose share equals best_share are saturated.)
-    bool froze_any = false;
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (frozen[c]) continue;
-      bool bottlenecked = false;
-      for (std::size_t r : res_of(c)) {
-        if (unfrozen_count[r] == 0) continue;
-        const double share =
-            std::max(residual[r], 0.0) / static_cast<double>(unfrozen_count[r]);
-        if (share <= best_share * (1.0 + 1e-12)) {
-          bottlenecked = true;
-          break;
-        }
-      }
-      if (!bottlenecked) continue;
-      frozen[c] = 1;
-      froze_any = true;
-      rate[c] = best_share;
-      --remaining;
-      const std::uint64_t count = count_of(c);
-      for (std::size_t r : res_of(c)) {
-        for (std::uint64_t k = 0; k < count; ++k) residual[r] -= best_share;
-        unfrozen_count[r] -= count;
-      }
-    }
-    FRIEDA_CHECK(froze_any, "max-min solver failed to make progress");
-  }
+// Every resource of a capacity table, for the wrappers (which solve over all).
+auto all_resources(const std::vector<Bandwidth>& capacities) {
+  return std::views::iota(std::size_t{0}, capacities.size());
 }
 
 }  // namespace
@@ -87,41 +20,25 @@ std::vector<Bandwidth> max_min_fair_rates(const std::vector<Bandwidth>& capaciti
   std::vector<Bandwidth> rate(flows.size(), 0.0);
   if (flows.empty()) return rate;
   FairshareScratch scratch;
-  solve(
-      capacities, flows.size(),
-      [&](std::size_t f) -> const std::vector<std::size_t>& { return flows[f].resources; },
-      [](std::size_t) -> std::uint64_t { return 1; }, scratch, rate);
+  progressive_fill(
+      capacities, all_resources(capacities), flows.size(),
+      [&](std::size_t f) { return FillClass{flows[f].resources, 1, rate[f]}; }, scratch);
   return rate;
-}
-
-void max_min_fair_rates_weighted(const std::vector<Bandwidth>& capacities,
-                                 const WeightedFlowConstraints* classes, std::size_t count,
-                                 FairshareScratch& scratch,
-                                 std::vector<Bandwidth>& rates_out) {
-  rates_out.assign(count, 0.0);
-  if (count == 0) return;
-  for (std::size_t c = 0; c < count; ++c) {
-    FRIEDA_CHECK(classes[c].count > 0, "flow class " << c << " has zero members");
-  }
-  solve(
-      capacities, count,
-      [&](std::size_t c) -> const std::vector<std::size_t>& { return classes[c].resources; },
-      [&](std::size_t c) -> std::uint64_t { return classes[c].count; }, scratch, rates_out);
-}
-
-void max_min_fair_rates_weighted(const std::vector<Bandwidth>& capacities,
-                                 const std::vector<WeightedFlowConstraints>& classes,
-                                 FairshareScratch& scratch,
-                                 std::vector<Bandwidth>& rates_out) {
-  max_min_fair_rates_weighted(capacities, classes.data(), classes.size(), scratch, rates_out);
 }
 
 std::vector<Bandwidth> max_min_fair_rates_weighted(
     const std::vector<Bandwidth>& capacities,
     const std::vector<WeightedFlowConstraints>& classes) {
-  std::vector<Bandwidth> rate;
+  std::vector<Bandwidth> rate(classes.size(), 0.0);
+  if (classes.empty()) return rate;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    FRIEDA_CHECK(classes[c].count > 0, "flow class " << c << " has zero members");
+  }
   FairshareScratch scratch;
-  max_min_fair_rates_weighted(capacities, classes, scratch, rate);
+  progressive_fill(
+      capacities, all_resources(capacities), classes.size(),
+      [&](std::size_t c) { return FillClass{classes[c].resources, classes[c].count, rate[c]}; },
+      scratch);
   return rate;
 }
 

@@ -8,19 +8,24 @@
 // fluid model for TCP-like sharing and is what makes the master's NIC the
 // staging bottleneck in the paper's experiments (Section IV).
 //
-// Two entry points share one implementation:
+// Every entry point runs the one progressive-filling loop, progressive_fill:
 //   * max_min_fair_rates           — one FlowConstraints per flow (legacy);
 //   * max_min_fair_rates_weighted  — flows with identical resource sets are
 //     coalesced into a counted class, so the progressive-filling rounds cost
-//     O(distinct classes) instead of O(flows).  This is the network model's
-//     fast path: the N parallel streams of one src→dst transfer, or many
-//     transfers over the same pair, are a single class.
+//     O(distinct classes) instead of O(flows);
+//   * the network model calls progressive_fill directly, in place on its
+//     persistent resource ids and flow classes: the N parallel streams of one
+//     src→dst transfer, or many transfers over the same pair, are a single
+//     class, and only the dirty component's resources are touched.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace frieda::net {
@@ -38,13 +43,111 @@ struct WeightedFlowConstraints {
 };
 
 /// Reusable solver buffers; pass the same instance across calls to avoid
-/// reallocating per-solve scratch state (the network recomputes rates on
-/// every flow arrival/departure).
+/// reallocating per-solve scratch state (the network re-solves on every flow
+/// arrival/departure).  `residual` and `unfrozen` are indexed by
+/// resource id and grow to the largest capacity table seen; `frozen` is
+/// indexed by class.
 struct FairshareScratch {
   std::vector<double> residual;
   std::vector<std::uint64_t> unfrozen;
   std::vector<unsigned char> frozen;
 };
+
+/// One class as progressive filling sees it: the ids of the resources it
+/// crosses, its member count, and where its per-flow rate is written.
+struct FillClass {
+  const std::vector<std::size_t>& resources;
+  std::uint64_t count;
+  Bandwidth& rate;
+};
+
+/// Progressive filling over coalesced classes — the single implementation
+/// behind every solver entry point.
+///
+/// `resources` lists, once each, every resource id the classes cross;
+/// `capacities` is indexed by those ids (it may hold more resources than the
+/// list: only listed ids are read, so solving one component of a large
+/// table costs O(component)).  `class_at(c)` returns the FillClass of class
+/// c in [0, nc).  Every class's rate is written: the max-min fair per-flow
+/// share, or 0 for an orphan class (every resource unconstrained).
+///
+/// Freezing a class subtracts the share once per member rather than
+/// count*share in one multiply: every member of a round's freeze set receives
+/// exactly the round's bottleneck share, so the repeated subtraction keeps the
+/// residuals bit-identical to running the flat per-flow solver — coalescing is
+/// a pure speedup, not a semantic change.  A resource whose last unfrozen flow
+/// freezes skips the subtraction: every read of a residual is guarded by a
+/// non-zero unfrozen count, so that residual is never read again.
+template <typename ResourceIds, typename ClassAt>
+void progressive_fill(const std::vector<Bandwidth>& capacities, const ResourceIds& resources,
+                      std::size_t nc, ClassAt&& class_at, FairshareScratch& scratch) {
+  // Residual capacity per resource and number of unfrozen flows crossing it.
+  auto& residual = scratch.residual;
+  auto& unfrozen_count = scratch.unfrozen;
+  auto& frozen = scratch.frozen;
+  if (residual.size() < capacities.size()) {
+    residual.resize(capacities.size());
+    unfrozen_count.resize(capacities.size());
+  }
+  for (const std::size_t r : resources) {
+    residual[r] = capacities[r];
+    unfrozen_count[r] = 0;
+  }
+  frozen.assign(nc, 0);
+
+  for (std::size_t c = 0; c < nc; ++c) {
+    const FillClass cls = class_at(c);
+    FRIEDA_CHECK(!cls.resources.empty(), "flow class " << c << " traverses no resources");
+    for (const std::size_t r : cls.resources) {
+      FRIEDA_CHECK(r < capacities.size(),
+                   "flow class " << c << " references resource " << r << " out of range");
+      unfrozen_count[r] += cls.count;
+    }
+    cls.rate = 0.0;
+  }
+
+  std::size_t remaining = nc;
+  while (remaining > 0) {
+    // Find the bottleneck resource: smallest equal share among resources
+    // that still carry unfrozen flows.
+    double best_share = std::numeric_limits<double>::infinity();
+    for (const std::size_t r : resources) {
+      if (unfrozen_count[r] == 0) continue;
+      const double share = std::max(residual[r], 0.0) / static_cast<double>(unfrozen_count[r]);
+      best_share = std::min(best_share, share);
+    }
+    if (best_share == std::numeric_limits<double>::infinity()) break;  // orphan flows
+
+    // Freeze every unfrozen class that crosses a resource at the bottleneck
+    // share.  (All resources whose share equals best_share are saturated.)
+    bool froze_any = false;
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (frozen[c]) continue;
+      const FillClass cls = class_at(c);
+      bool bottlenecked = false;
+      for (const std::size_t r : cls.resources) {
+        if (unfrozen_count[r] == 0) continue;
+        const double share =
+            std::max(residual[r], 0.0) / static_cast<double>(unfrozen_count[r]);
+        if (share <= best_share * (1.0 + 1e-12)) {
+          bottlenecked = true;
+          break;
+        }
+      }
+      if (!bottlenecked) continue;
+      frozen[c] = 1;
+      froze_any = true;
+      cls.rate = best_share;
+      --remaining;
+      for (const std::size_t r : cls.resources) {
+        unfrozen_count[r] -= cls.count;
+        if (unfrozen_count[r] == 0) continue;  // residual never read again
+        for (std::uint64_t k = 0; k < cls.count; ++k) residual[r] -= best_share;
+      }
+    }
+    FRIEDA_CHECK(froze_any, "max-min solver failed to make progress");
+  }
+}
 
 /// Solve max-min fair rates.
 ///
@@ -63,19 +166,5 @@ std::vector<Bandwidth> max_min_fair_rates(const std::vector<Bandwidth>& capaciti
 std::vector<Bandwidth> max_min_fair_rates_weighted(
     const std::vector<Bandwidth>& capacities,
     const std::vector<WeightedFlowConstraints>& classes);
-
-/// Allocation-lean overload: reuses `scratch` buffers and writes the per-flow
-/// class rates into `rates_out` (resized to classes.size()).
-void max_min_fair_rates_weighted(const std::vector<Bandwidth>& capacities,
-                                 const std::vector<WeightedFlowConstraints>& classes,
-                                 FairshareScratch& scratch,
-                                 std::vector<Bandwidth>& rates_out);
-
-/// Pointer/count variant of the allocation-lean overload, for callers that
-/// keep a grow-only class buffer and solve over a prefix of it.
-void max_min_fair_rates_weighted(const std::vector<Bandwidth>& capacities,
-                                 const WeightedFlowConstraints* classes, std::size_t count,
-                                 FairshareScratch& scratch,
-                                 std::vector<Bandwidth>& rates_out);
 
 }  // namespace frieda::net

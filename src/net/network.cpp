@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -14,24 +15,21 @@ namespace {
 // A flow is considered drained when less than this many bytes remain; absorbs
 // fluid-model floating point drift.
 constexpr double kEpsilonBytes = 1e-6;
-// Completion events are never scheduled closer than this, so the clock always
+// Drains are never scheduled closer than this, so the clock always
 // makes representable progress (guards against the asymptotic-drain loop
 // where remaining/rate underflows the current time's ulp).
 constexpr double kMinTimeStep = 1e-9;
 
-// Persistent resource key space: kind in the top bits, node/pair id below.
-std::uint64_t egress_key(NodeId n) { return 0x1000000000ull + n; }
-std::uint64_t ingress_key(NodeId n) { return 0x2000000000ull + n; }
-std::uint64_t pair_key(NodeId s, NodeId d) {
-  return 0x3000000000ull + (static_cast<std::uint64_t>(s) << 20) + d;
-}
-constexpr std::uint64_t kBackboneKey = 0x4000000000ull;
-std::uint64_t loopback_key(NodeId n) { return 0x5000000000ull + n; }
-std::uint64_t site_key(SiteId a, SiteId b) {
-  if (a > b) std::swap(a, b);
-  return 0x6000000000ull + (static_cast<std::uint64_t>(a) << 16) + b;
-}
-std::uint64_t rack_key(RackId r) { return 0x7000000000ull + r; }
+// Resource kinds of the persistent registry key.
+enum ResourceKind : std::uint8_t {
+  kEgress = 1,
+  kIngress,
+  kPair,
+  kBackbone,
+  kLoopback,
+  kSite,
+  kRack,
+};
 
 std::uint64_t class_key(NodeId src, NodeId dst) {
   return (static_cast<std::uint64_t>(src) << 32) | dst;
@@ -100,12 +98,11 @@ std::uint32_t Network::class_for(NodeId src, NodeId dst) {
   return it->second;
 }
 
-std::size_t Network::resource_id(std::uint64_t key, Bandwidth cap) {
+std::size_t Network::resource_id(const ResourceKey& key, Bandwidth cap) {
   const auto [it, inserted] = resource_ids_.emplace(key, resource_caps_.size());
   if (inserted) {
     resource_caps_.push_back(cap);
     resource_users_.emplace_back();
-    resource_dense_.push_back(0);
     resource_epoch_.push_back(0);
   }
   return it->second;
@@ -115,13 +112,13 @@ void Network::rebuild_class_resources(FlowClass& cls) {
   cls.resources.clear();
   if (cls.src == cls.dst) {
     // Loopback copies share the node's loopback device, not the NIC.
-    cls.resources.push_back(resource_id(loopback_key(cls.src), loopback_));
+    cls.resources.push_back(resource_id({kLoopback, cls.src, 0}, loopback_));
   } else {
-    cls.resources.push_back(resource_id(egress_key(cls.src), topology_.egress(cls.src)));
-    cls.resources.push_back(resource_id(ingress_key(cls.dst), topology_.ingress(cls.dst)));
+    cls.resources.push_back(resource_id({kEgress, cls.src, 0}, topology_.egress(cls.src)));
+    cls.resources.push_back(resource_id({kIngress, cls.dst, 0}, topology_.ingress(cls.dst)));
     const Bandwidth pair_cap = topology_.pair_limit(cls.src, cls.dst);
     if (pair_cap != std::numeric_limits<Bandwidth>::infinity()) {
-      cls.resources.push_back(resource_id(pair_key(cls.src, cls.dst), pair_cap));
+      cls.resources.push_back(resource_id({kPair, cls.src, cls.dst}, pair_cap));
     }
     if (topology_.has_rack_uplinks()) {
       // Hierarchy level between node and core: a flow leaving (or entering) a
@@ -132,23 +129,23 @@ void Network::rebuild_class_resources(FlowClass& cls) {
       if (ra != rb) {
         const Bandwidth up_a = topology_.rack_uplink(ra);
         if (up_a != std::numeric_limits<Bandwidth>::infinity()) {
-          cls.resources.push_back(resource_id(rack_key(ra), up_a));
+          cls.resources.push_back(resource_id({kRack, ra, 0}, up_a));
         }
         const Bandwidth up_b = topology_.rack_uplink(rb);
         if (up_b != std::numeric_limits<Bandwidth>::infinity()) {
-          cls.resources.push_back(resource_id(rack_key(rb), up_b));
+          cls.resources.push_back(resource_id({kRack, rb, 0}, up_b));
         }
       }
     }
     if (topology_.has_backbone_cap()) {
-      cls.resources.push_back(resource_id(kBackboneKey, topology_.backbone_capacity()));
+      cls.resources.push_back(resource_id({kBackbone, 0, 0}, topology_.backbone_capacity()));
     }
     if (topology_.has_intersite_caps()) {
       const SiteId sa = topology_.site(cls.src);
       const SiteId sb = topology_.site(cls.dst);
       const Bandwidth wan = topology_.intersite_capacity(sa, sb);
       if (wan != std::numeric_limits<Bandwidth>::infinity()) {
-        cls.resources.push_back(resource_id(site_key(sa, sb), wan));
+        cls.resources.push_back(resource_id({kSite, std::min(sa, sb), std::max(sa, sb)}, wan));
       }
     }
   }
@@ -213,6 +210,7 @@ sim::Task<TransferResult> Network::transfer(NodeId src, NodeId dst, Bytes bytes,
   }
   live_flows_ += streams;
   resolve(slot);
+  arm_drain_event();
 
   for (const auto& flow : stream_flows) co_await flow->signal->wait();
 
@@ -255,7 +253,7 @@ void Network::activate_class(std::uint32_t slot) {
 void Network::deactivate_class(std::uint32_t slot) {
   FlowClass& cls = classes_[slot];
   if (cls.attached) detach_class(slot);
-  if (cls.completion.pending()) sim_.cancel(cls.completion);
+  unschedule_drain(slot);
   cls.active = false;
   cls.rate = 0.0;
   // Swap-remove from active_classes_, fixing the moved class's back-pointer.
@@ -313,6 +311,7 @@ void Network::resolve(std::uint32_t seed_slot) {
 void Network::collect_component(std::uint32_t seed_slot) {
   const std::uint64_t bfs_epoch = ++solve_epoch_;
   component_.clear();
+  component_resources_.clear();
   classes_[seed_slot].visit_epoch = bfs_epoch;
   component_.push_back(seed_slot);
   for (std::size_t i = 0; i < component_.size(); ++i) {
@@ -329,6 +328,7 @@ void Network::collect_component(std::uint32_t seed_slot) {
     for (const std::size_t pid : cls.resources) {
       if (resource_epoch_[pid] == bfs_epoch) continue;
       resource_epoch_[pid] = bfs_epoch;
+      component_resources_.push_back(pid);
       for (const std::uint32_t user : resource_users_[pid]) {
         FlowClass& other = classes_[user];
         if (other.visit_epoch == bfs_epoch) continue;
@@ -346,7 +346,6 @@ void Network::full_solve() {
   resource_ids_.clear();
   resource_caps_.clear();
   resource_users_.clear();
-  resource_dense_.clear();
   resource_epoch_.clear();
   resources_version_ = version;
   resources_valid_ = true;
@@ -357,6 +356,8 @@ void Network::full_solve() {
     rebuild_class_resources(cls);
     attach_class(slot);
   }
+  component_resources_.resize(resource_caps_.size());
+  std::iota(component_resources_.begin(), component_resources_.end(), std::size_t{0});
   ++counters_.full_solves;
   solve_component(/*full=*/true);
 }
@@ -405,47 +406,30 @@ void Network::solve_component(bool full) {
   component_.resize(keep);
   if (component_.empty()) return;
 
-  // Densify the component's resources onto a compact capacity table.
-  const std::uint64_t dense_epoch = ++solve_epoch_;
+  // Solve in place: the component's classes and persistent resource ids.
   const std::size_t nc = component_.size();
-  if (solver_classes_.size() < nc) solver_classes_.resize(nc);  // grow-only
-  dense_caps_.clear();
   std::size_t component_flows = 0;
-  for (std::size_t i = 0; i < nc; ++i) {
-    FlowClass& cls = classes_[component_[i]];
-    cls.comp_index = static_cast<std::uint32_t>(i);
-    WeightedFlowConstraints& wc = solver_classes_[i];
-    wc.resources.clear();
-    for (const std::size_t pid : cls.resources) {
-      if (resource_epoch_[pid] != dense_epoch) {
-        resource_epoch_[pid] = dense_epoch;
-        resource_dense_[pid] = dense_caps_.size();
-        dense_caps_.push_back(resource_caps_[pid]);
-      }
-      wc.resources.push_back(resource_dense_[pid]);
-    }
-    wc.count = cls.heap.size();
-    component_flows += cls.heap.size();
-  }
-
+  for (const std::uint32_t slot : component_) component_flows += classes_[slot].heap.size();
   ++counters_.solves;
   counters_.dirty_classes += nc;
   counters_.flows_coalesced += component_flows - nc;
-  max_min_fair_rates_weighted(dense_caps_, solver_classes_.data(), nc, fair_scratch_,
-                              class_rates_);
+  progressive_fill(
+      resource_caps_, component_resources_, nc,
+      [this](std::size_t i) {
+        FlowClass& cls = classes_[component_[i]];
+        return FillClass{cls.resources, cls.heap.size(), cls.rate};
+      },
+      fair_scratch_);
 
   if (full) {
     // The pre-incremental solver required global progress; keep that check
     // where we still see the whole system at once.
     bool any_progress = false;
-    for (std::size_t i = 0; i < nc; ++i) any_progress |= class_rates_[i] > 0.0;
+    for (const std::uint32_t slot : component_) any_progress |= classes_[slot].rate > 0.0;
     FRIEDA_CHECK(any_progress, "active flows exist but none can make progress");
   }
 
-  for (std::size_t i = 0; i < nc; ++i) {
-    classes_[component_[i]].rate = class_rates_[i];
-    update_completion(component_[i]);
-  }
+  for (const std::uint32_t slot : component_) update_completion(slot);
 
   if (differential_check_) run_differential_check();
 }
@@ -456,49 +440,118 @@ void Network::update_completion(std::uint32_t slot) {
     // No finite bottleneck (orphan class): it cannot drain until some event
     // changes its component.  Matches the pre-incremental behavior of a
     // zero-rate flow simply never contributing a completion estimate.
-    if (cls.completion.pending()) sim_.cancel(cls.completion);
+    unschedule_drain(slot);
     return;
   }
   const SimTime now = sim_.now();  // == cls.work_time after accrue()
   const SimTime t =
       now + std::max((cls.heap.front()->target - cls.work) / cls.rate, kMinTimeStep);
-  if (cls.completion.pending()) {
-    // Keep the pending event when the drain moved later (a rate drop): it
-    // fires early, finds nothing drained, and re-arms itself at the exact
-    // time without a solve (on_class_completion's fast path).  Cancelling
-    // and rescheduling O(component) events per solve is what this avoids —
-    // lazy tombstones would otherwise dominate small components.
-    if (t >= cls.completion_time) return;
-    sim_.cancel(cls.completion);
-  }
-  cls.completion_time = t;
-  cls.completion = sim_.schedule_in(t - now, [this, slot] { on_class_completion(slot); });
+  // Keep a queued entry when the drain moved later (a rate drop): it fires
+  // early, finds nothing drained, and re-queues itself at the exact time
+  // without a solve (on_class_completion's fast path).  Moving O(component)
+  // entries per solve is what this avoids.
+  if (cls.drain_pos != kNotQueued && t >= cls.completion_time) return;
+  schedule_drain(slot, t);
 }
 
 void Network::on_class_completion(std::uint32_t slot) {
   FlowClass& cls = classes_[slot];
-  if (!cls.active) return;  // deactivated after this event was already inflight
-  // Fast re-arm: the event fired before the actual drain (its estimate went
+  // Fast re-arm: the entry fired before the actual drain (its estimate went
   // stale when the class's rate dropped).  If nothing invalidated the rates
   // since — any solve touching this component would have updated cls.rate
-  // and this event — the stored rate gives the exact drain time, so re-arm
+  // and this entry — the stored rate gives the exact drain time, so re-queue
   // without re-solving anything.
   if (resources_valid_ && resources_version_ == invalidation_version() &&
       cls.rate > 0.0 && !cls.heap.empty()) {
     accrue(cls);
     const double remaining = cls.heap.front()->target - cls.work;
     if (remaining > kEpsilonBytes && remaining > cls.rate * kMinTimeStep) {
-      const SimTime now = sim_.now();
-      const SimTime t = now + std::max(remaining / cls.rate, kMinTimeStep);
-      cls.completion_time = t;
-      cls.completion = sim_.schedule_in(t - now, [this, slot] { on_class_completion(slot); });
+      schedule_drain(slot, sim_.now() + std::max(remaining / cls.rate, kMinTimeStep));
       return;
     }
   }
   // A real drain (or an invalidation): the sweep covers the whole component,
   // so simultaneous completions behind one bottleneck resolve in a single
-  // pass (their own events then find empty heaps / get cancelled).
+  // pass (their own entries then leave the schedule with their classes).
   resolve(slot);
+}
+
+void Network::schedule_drain(std::uint32_t slot, SimTime t) {
+  FlowClass& cls = classes_[slot];
+  cls.completion_time = t;
+  // The time a simulation event scheduled `t - now` ahead fires at.
+  const SimTime now = sim_.now();
+  const DrainEntry entry{now + std::max(t - now, 0.0), next_drain_seq_++, slot};
+  if (cls.drain_pos == kNotQueued) {
+    cls.drain_pos = static_cast<std::uint32_t>(drain_queue_.size());
+    drain_queue_.push_back(entry);
+  } else {
+    drain_queue_[cls.drain_pos] = entry;
+  }
+  drain_sift(cls.drain_pos);
+}
+
+void Network::unschedule_drain(std::uint32_t slot) {
+  FlowClass& cls = classes_[slot];
+  if (cls.drain_pos == kNotQueued) return;
+  const std::size_t pos = cls.drain_pos;
+  cls.drain_pos = kNotQueued;
+  const DrainEntry last = drain_queue_.back();
+  drain_queue_.pop_back();
+  if (pos == drain_queue_.size()) return;  // removed the last entry
+  drain_place(pos, last);
+  drain_sift(pos);
+}
+
+void Network::drain_place(std::size_t pos, const DrainEntry& entry) {
+  drain_queue_[pos] = entry;
+  classes_[entry.slot].drain_pos = static_cast<std::uint32_t>(pos);
+}
+
+void Network::drain_sift(std::size_t pos) {
+  const DrainEntry entry = drain_queue_[pos];
+  while (pos > 0) {  // up
+    const std::size_t parent = (pos - 1) / 2;
+    if (!entry.before(drain_queue_[parent])) break;
+    drain_place(pos, drain_queue_[parent]);
+    pos = parent;
+  }
+  const std::size_t n = drain_queue_.size();
+  for (;;) {  // down
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && drain_queue_[child + 1].before(drain_queue_[child])) ++child;
+    if (!drain_queue_[child].before(entry)) break;
+    drain_place(pos, drain_queue_[child]);
+    pos = child;
+  }
+  drain_place(pos, entry);
+}
+
+void Network::arm_drain_event() {
+  if (drain_queue_.empty()) {
+    if (drain_event_.pending()) sim_.cancel(drain_event_);
+  } else {
+    const DrainEntry& top = drain_queue_.front();
+    if (!drain_event_.pending() || armed_seq_ != top.seq) {
+      // The top left or moved earlier: the event follows it.
+      if (drain_event_.pending()) sim_.cancel(drain_event_);
+      armed_seq_ = top.seq;
+      drain_event_ = sim_.schedule_at(top.fire, [this] { on_drain_event(); });
+    }
+  }
+  if (differential_check_) audit_drain_schedule();
+}
+
+void Network::on_drain_event() {
+  // The event fires at the heap top's time.  It processes that one class;
+  // another class due at the same instant gets an event of its own from the
+  // re-arm, so every processed class is one fired simulation event, exactly
+  // as with one event per class.
+  const std::uint32_t slot = drain_queue_.front().slot;
+  unschedule_drain(slot);
+  on_class_completion(slot);
+  arm_drain_event();
 }
 
 void Network::complete_flow(const FlowPtr& flow, TransferStatus status) {
@@ -527,9 +580,7 @@ void Network::run_differential_check() {
     wc.count = cls.heap.size();
     classes.push_back(std::move(wc));
   }
-  FairshareScratch scratch;
-  std::vector<Bandwidth> rates;
-  max_min_fair_rates_weighted(caps, classes.data(), classes.size(), scratch, rates);
+  const std::vector<Bandwidth> rates = max_min_fair_rates_weighted(caps, classes);
   for (std::size_t i = 0; i < active_classes_.size(); ++i) {
     const FlowClass& cls = classes_[active_classes_[i]];
     const double tol = 1e-9 * std::max(1.0, rates[i]);
@@ -538,6 +589,45 @@ void Network::run_differential_check() {
                      << cls.src << "->" << cls.dst << ": incremental " << cls.rate
                      << " vs full " << rates[i]);
   }
+}
+
+void Network::audit_drain_schedule() const {
+  // Every active class with a positive rate is queued exactly once, and its
+  // entry is never later than its exact drain time (a lazy entry may only be
+  // early); inactive and zero-rate classes are not queued.
+  const SimTime now = sim_.now();
+  std::size_t queued = 0;
+  for (const std::uint32_t slot : active_classes_) {
+    const FlowClass& cls = classes_[slot];
+    const std::size_t pos = cls.drain_pos;
+    const bool in_queue = pos != kNotQueued;
+    FRIEDA_CHECK(in_queue == (cls.rate > 0.0),
+                 "drain schedule: class " << cls.src << "->" << cls.dst << " with rate "
+                                          << cls.rate << (in_queue ? " is" : " is not")
+                                          << " queued");
+    if (!in_queue) continue;
+    ++queued;
+    FRIEDA_CHECK(pos < drain_queue_.size() && drain_queue_[pos].slot == slot,
+                 "drain schedule: stale position for class " << cls.src << "->" << cls.dst);
+    const double work = cls.work + cls.rate * std::max(now - cls.work_time, 0.0);
+    const SimTime exact = now + (cls.heap.front()->target - work) / cls.rate;
+    const SimTime fire = drain_queue_[pos].fire;
+    FRIEDA_CHECK(fire <= exact + kMinTimeStep + 1e-12 * std::max(1.0, std::abs(exact)),
+                 "drain schedule: class " << cls.src << "->" << cls.dst << " queued at "
+                                          << fire << " after its drain at " << exact);
+  }
+  FRIEDA_CHECK(queued == drain_queue_.size(),
+               "drain schedule holds " << drain_queue_.size() << " entries for " << queued
+                                       << " draining classes");
+  for (std::size_t i = 1; i < drain_queue_.size(); ++i) {
+    FRIEDA_CHECK(!drain_queue_[i].before(drain_queue_[(i - 1) / 2]),
+                 "drain schedule: heap order broken at " << i);
+  }
+  FRIEDA_CHECK(drain_event_.pending() == !drain_queue_.empty(),
+               "drain schedule: simulation event "
+                   << (drain_event_.pending() ? "armed for an empty schedule" : "not armed"));
+  FRIEDA_CHECK(drain_queue_.empty() || armed_seq_ == drain_queue_.front().seq,
+               "drain schedule: simulation event is not armed at the heap top");
 }
 
 void Network::fail_node(NodeId node) {
@@ -562,6 +652,7 @@ void Network::fail_node(NodeId node) {
   // The failure bumped the invalidation version: rebuild and re-solve the
   // survivors globally (their constraint vectors may now differ).
   if (!active_classes_.empty()) full_solve();
+  arm_drain_event();
 }
 
 void Network::restore_node(NodeId node) {

@@ -11,14 +11,20 @@
 // The allocation is maintained *incrementally* between events (see
 // docs/performance.md "Incremental re-solve and hierarchical topology").
 // Every class keeps its solved per-flow rate, a cumulative work accumulator
-// (bytes delivered per member flow, accrued lazily in O(1)), a min-heap of
-// member flows keyed by completion work target, and its own next-completion
-// event.  A flow arrival, departure or failure dirties only the connected
-// component of classes reachable from the changed class across shared
-// resources — max-min allocations decompose exactly over such components —
-// so untouched classes keep their rates and their scheduled completion
-// events without re-densification or re-solve.  Topology mutations and node
+// (bytes delivered per member flow, accrued lazily in O(1)) and a min-heap of
+// member flows keyed by completion work target.  A flow arrival, departure or
+// failure dirties only the connected component of classes reachable from the
+// changed class across shared resources — max-min allocations decompose
+// exactly over such components — so untouched classes keep their rates and
+// their queued drain times without re-solve.  The component is solved in
+// place on persistent resource ids.  Topology mutations and node
 // failure/restore bump an invalidation version that forces one full solve.
+//
+// Drain times live in one network-owned drain schedule: an indexed min-heap
+// of classes ordered by (fire time, schedule sequence), with a single
+// simulation event armed at its top.  A class's entry may be early (its rate
+// dropped since it was queued): it then fires, finds nothing drained and
+// re-queues itself at the exact time without a solve.
 //
 // Node failure support: fail_node() aborts every flow touching the node;
 // the awaiting process resumes with TransferStatus::kFailed, mirroring a
@@ -202,11 +208,38 @@ class Network {
     double work = 0.0;       ///< cumulative bytes delivered per member flow
     SimTime work_time = 0.0; ///< instant `work` was last accrued to
     std::vector<FlowPtr> heap;  ///< min-heap of members by (target, seq)
-    sim::EventQueue::Handle completion;  ///< this class's next-drain event
-    SimTime completion_time = 0.0;       ///< absolute time of that event
+    // Drain schedule (valid while queued).
+    std::uint32_t drain_pos = kNotQueued;  ///< position in drain_queue_
+    SimTime completion_time = 0.0;         ///< drain estimate of the queued entry
     // Per-solve scratch.
     std::uint64_t visit_epoch = 0;  ///< BFS stamp (dirty-set collection)
-    std::uint32_t comp_index = 0;   ///< dense index within the current solve
+  };
+
+  /// One drain-schedule entry.  Equal fire times pop in schedule order, the
+  /// order separate simulation events at that time would fire in.
+  struct DrainEntry {
+    SimTime fire = 0.0;      ///< simulation time the entry fires at
+    std::uint64_t seq = 0;   ///< network-local schedule sequence
+    std::uint32_t slot = 0;  ///< the class
+    bool before(const DrainEntry& o) const {
+      return fire < o.fire || (fire == o.fire && seq < o.seq);
+    }
+  };
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+
+  /// Persistent resource key: the kind plus up to two 32-bit ids, so no two
+  /// resources of any topology size share a key.
+  struct ResourceKey {
+    std::uint8_t kind = 0;
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    bool operator==(const ResourceKey&) const = default;
+  };
+  struct ResourceKeyHash {
+    std::size_t operator()(const ResourceKey& k) const {
+      return std::hash<std::uint64_t>{}((static_cast<std::uint64_t>(k.a) << 32 | k.b) ^
+                                        (static_cast<std::uint64_t>(k.kind) << 56));
+    }
   };
 
   void accrue(FlowClass& cls);  // advance `work` to sim.now() at the old rate
@@ -218,13 +251,26 @@ class Network {
   /// invalidation version moved, else the seed's connected component only.
   void resolve(std::uint32_t seed_slot);
   void full_solve();
-  void collect_component(std::uint32_t seed_slot);  // BFS into component_
+  /// BFS into component_, recording its resources in component_resources_.
+  void collect_component(std::uint32_t seed_slot);
   /// Shared solve tail over component_: accrue, drain, solve, reschedule.
   void solve_component(bool full);
   void update_completion(std::uint32_t slot);
   void on_class_completion(std::uint32_t slot);
   void complete_flow(const FlowPtr& flow, TransferStatus status);
   void run_differential_check();
+
+  // ---- drain schedule ----
+  /// Queue (or move) the class's drain entry for exact drain estimate `t`.
+  void schedule_drain(std::uint32_t slot, SimTime t);
+  void unschedule_drain(std::uint32_t slot);
+  void drain_place(std::size_t pos, const DrainEntry& entry);
+  void drain_sift(std::size_t pos);
+  /// Point the simulation event at the heap top (cancel it when empty).
+  void arm_drain_event();
+  /// The simulation event: process the class at the heap top, then re-arm.
+  void on_drain_event();
+  void audit_drain_schedule() const;
   /// Close out a transfer on any exit path; `solves_at_start` dates the
   /// transfer's entry for the trace span's recompute count.
   void finish_transfer(NodeId src, NodeId dst, TransferResult& result,
@@ -236,7 +282,7 @@ class Network {
     return topology_.version() + failure_version_;
   }
   std::uint32_t class_for(NodeId src, NodeId dst);
-  std::size_t resource_id(std::uint64_t key, Bandwidth cap);
+  std::size_t resource_id(const ResourceKey& key, Bandwidth cap);
   void rebuild_class_resources(FlowClass& cls);
 
   sim::Simulation& sim_;
@@ -256,7 +302,7 @@ class Network {
   std::uint64_t solve_epoch_ = 0;
 
   // ---- persistent resource registry (rebuilt on invalidation) ----
-  std::unordered_map<std::uint64_t, std::size_t> resource_ids_;
+  std::unordered_map<ResourceKey, std::size_t, ResourceKeyHash> resource_ids_;
   std::vector<Bandwidth> resource_caps_;
   std::vector<std::vector<std::uint32_t>> resource_users_;  ///< active classes per pid
   std::uint64_t resources_version_ = 0;
@@ -264,13 +310,16 @@ class Network {
 
   // ---- reusable solver buffers ----
   std::vector<std::uint32_t> component_;        ///< dirty set (class slots)
+  std::vector<std::size_t> component_resources_;  ///< its resource ids, once each
   std::vector<FlowPtr> drained_;                ///< flows completing this solve
-  std::vector<std::size_t> resource_dense_;     ///< persistent id -> dense index
-  std::vector<std::uint64_t> resource_epoch_;   ///< stamp for BFS / densify
-  std::vector<Bandwidth> dense_caps_;           ///< solver capacities
-  std::vector<WeightedFlowConstraints> solver_classes_;  ///< grow-only
-  std::vector<Bandwidth> class_rates_;
-  FairshareScratch fair_scratch_;
+  std::vector<std::uint64_t> resource_epoch_;   ///< BFS stamp per resource id
+  FairshareScratch fair_scratch_;               ///< indexed by resource id
+
+  // ---- drain schedule ----
+  std::vector<DrainEntry> drain_queue_;  ///< binary min-heap by DrainEntry::before
+  std::uint64_t next_drain_seq_ = 0;
+  sim::EventQueue::Handle drain_event_;  ///< armed at the heap top
+  std::uint64_t armed_seq_ = 0;          ///< seq of the entry drain_event_ serves
 
   std::vector<NodeTraffic> traffic_;  ///< indexed by node id (dense hot path)
   Counters counters_;

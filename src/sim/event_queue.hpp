@@ -3,9 +3,10 @@
 // Events are ordered by (timestamp, insertion sequence), which makes
 // same-time events FIFO and the whole simulation deterministic.  Cancellation
 // is lazy: a cancelled event leaves a tombstone entry in the heap that is
-// skipped on pop, which keeps cancel() O(1) — important because the
-// flow-level network model cancels and reschedules completion events on
-// every flow arrival/departure.
+// skipped on pop, which keeps cancel() O(1).  The flow-level network model
+// keeps a single drain event armed at the top of its own drain schedule and
+// cancels it only when that top leaves or moves earlier, so its tombstones
+// stay few.
 //
 // Storage is a slab of pooled event slots addressed by (index, generation)
 // handles.  Slots are recycled through an intrusive free list, so push/

@@ -132,6 +132,24 @@ TEST(Network, PairLimitCapsFlow) {
   EXPECT_NEAR(duration, 10.0, 1e-6);
 }
 
+TEST(Network, PairLimitKeyNeverCollidesWithOtherResources) {
+  // Past 65,536 nodes a pair limit on 65536 -> 0 must stay its own resource:
+  // a narrower key space once mapped it onto the backbone, so the class
+  // listed one resource twice and ran at half the pair limit.
+  sim::Simulation sim;
+  Topology t = star(65537, gbps(1));
+  t.set_backbone_capacity(gbps(10));
+  t.set_pair_limit(65536, 0, mbps(10));
+  Network netw(sim, std::move(t), 0.0);
+  TransferResult result;
+  sim.spawn([](Network& n, TransferResult& out) -> sim::Task<> {
+    out = co_await n.transfer(65536, 0, 10 * MB);  // 10 MB @ 1.25 MB/s = 8 s
+  }(netw, result));
+  sim.run();
+  EXPECT_TRUE(result.ok());
+  EXPECT_NEAR(result.duration(), 8.0, 1e-6);
+}
+
 TEST(Network, BackboneCapSharedByAllFlows) {
   sim::Simulation sim;
   Topology t = star(4, mbps(1000));

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/topology.hpp"
@@ -49,19 +51,24 @@ struct ChurnStats {
   std::size_t completed = 0;
   std::size_t failed = 0;
   Bytes bytes = 0;
+  SimTime end_time = 0.0;
+  Network::Counters counters;
 };
 
 // Spawns `events` transfers over random pairs with random sizes/streams and
 // sprinkles fail/restore cycles over a few victim nodes.  With the
 // differential check on, every incremental solve is audited against a fresh
 // full solve, so simply surviving the run is the assertion.
+// `results`, when given, receives every transfer's result in spawn order.
 ChurnStats run_churn(Topology topo, std::uint64_t seed, std::size_t events,
-                     bool with_failures, bool differential) {
+                     bool with_failures, bool differential,
+                     std::vector<TransferResult>* results = nullptr) {
   sim::Simulation sim(seed);
   const auto nodes = topo.node_count();
   Network netw(sim, std::move(topo), /*latency=*/1e-4);
   netw.set_differential_check(differential);
   ChurnStats stats;
+  if (results) results->assign(events, TransferResult{});
   Rng rng(seed);
   for (std::size_t e = 0; e < events; ++e) {
     const auto src = static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
@@ -70,14 +77,16 @@ ChurnStats run_churn(Topology topo, std::uint64_t seed, std::size_t events,
     const Bytes bytes = static_cast<Bytes>(rng.uniform_int(1, 8 * MB));
     const auto streams = static_cast<unsigned>(rng.uniform_int(1, 4));
     const SimTime at = rng.uniform(0.0, 5.0);
-    sim.schedule_at(at, [&, src, dst, bytes, streams] {
-      sim.spawn([](Network& n, ChurnStats& st, NodeId s, NodeId d, Bytes b,
-                   unsigned k) -> sim::Task<> {
+    TransferResult* out = results ? &(*results)[e] : nullptr;
+    sim.schedule_at(at, [&, src, dst, bytes, streams, out] {
+      sim.spawn([](Network& n, ChurnStats& st, NodeId s, NodeId d, Bytes b, unsigned k,
+                   TransferResult* o) -> sim::Task<> {
         ++st.started;
         const auto r = co_await n.transfer(s, d, b, k);
         r.ok() ? ++st.completed : ++st.failed;
         st.bytes += r.transferred;
-      }(netw, stats, src, dst, bytes, streams));
+        if (o) *o = r;
+      }(netw, stats, src, dst, bytes, streams, out));
     });
   }
   if (with_failures) {
@@ -90,6 +99,8 @@ ChurnStats run_churn(Topology topo, std::uint64_t seed, std::size_t events,
     }
   }
   sim.run();
+  stats.end_time = sim.now();
+  stats.counters = netw.counters();
   EXPECT_EQ(stats.started, events);
   EXPECT_EQ(stats.completed + stats.failed, events);
   EXPECT_EQ(netw.active_flows(), 0u);
@@ -144,6 +155,61 @@ TEST(NetworkIncremental, PartialBytesStayClamped) {
   for (const auto& r : results) EXPECT_LE(r.transferred, r.requested);
 }
 
+TEST(NetworkDrainSchedule, EqualFireTimesWakeWaitersInScheduleOrder) {
+  // Two disjoint classes drain at the same instant.  Pair 0->1 owns the
+  // lower class slot (a warm-up transfer created it), but 2->3 was queued
+  // first, so its waiter must wake first — and each class still costs one
+  // fired simulation event, as it did with one event per class.
+  sim::Simulation sim;
+  Network netw(sim, star(4, mbps(100)), /*latency=*/0.0);
+  netw.set_differential_check(true);
+  std::vector<NodeId> woken;
+  std::vector<SimTime> finished;
+  const auto xfer = [](Network& n, NodeId s, NodeId d, std::vector<NodeId>& order,
+                       std::vector<SimTime>& at) -> sim::Task<> {
+    const auto r = co_await n.transfer(s, d, MB);
+    order.push_back(s);
+    at.push_back(r.finished);
+  };
+  sim.spawn(xfer(netw, 0, 1, woken, finished));  // warm-up: creates class 0->1
+  sim.schedule_at(1.0, [&] {
+    sim.spawn(xfer(netw, 2, 3, woken, finished));
+    sim.spawn(xfer(netw, 0, 1, woken, finished));
+  });
+  sim.run();
+  ASSERT_EQ(woken, (std::vector<NodeId>{0, 2, 0}));
+  EXPECT_EQ(finished[1], finished[2]);
+  // warm-up: spawn, drain, resume; then the t=1 callback, two spawns, and a
+  // drain plus a resume per class.
+  EXPECT_EQ(sim.event_counters().fired, 10u);
+}
+
+TEST(NetworkDrainSchedule, FailingTheHeapTopLeavesNoStrayEvent) {
+  // fail_node removes the class at the top of the drain schedule; the armed
+  // simulation event must move to the next class instead of firing for
+  // nothing at the removed class's drain time.
+  sim::Simulation sim;
+  Network netw(sim, star(4, mbps(100)), /*latency=*/0.0);
+  netw.set_differential_check(true);
+  TransferResult first;
+  TransferResult second;
+  const auto xfer = [](Network& n, NodeId s, NodeId d, Bytes b,
+                       TransferResult& out) -> sim::Task<> {
+    out = co_await n.transfer(s, d, b);
+  };
+  sim.spawn(xfer(netw, 0, 1, MB, first));        // would drain at 0.08 s
+  sim.spawn(xfer(netw, 2, 3, 10 * MB, second));  // drains at 0.8 s
+  sim.schedule_at(0.04, [&] { netw.fail_node(1); });
+  sim.run();
+  EXPECT_FALSE(first.ok());
+  EXPECT_EQ(first.finished, 0.04);
+  EXPECT_TRUE(second.ok());
+  EXPECT_NEAR(second.finished, 0.8, 1e-9);
+  // Two spawns, the failure, the aborted waiter's resume, the survivor's
+  // drain and its resume.
+  EXPECT_EQ(sim.event_counters().fired, 6u);
+}
+
 // One churn run's full observable outcome, for determinism comparison.
 struct RunFingerprint {
   Bytes total_bytes = 0;
@@ -158,21 +224,26 @@ struct RunFingerprint {
   }
 };
 
-RunFingerprint big_run(std::size_t transfers) {
+// `results`, when given, receives every transfer's result in spawn order.
+RunFingerprint big_run(std::size_t transfers, std::vector<TransferResult>* results = nullptr) {
   sim::Simulation sim(13);
   Topology topo;
   for (int i = 0; i < 8; ++i) topo.add_node("srv" + std::to_string(i), gbps(1), gbps(1));
   for (int i = 0; i < 32; ++i) topo.add_node("w" + std::to_string(i), mbps(100), mbps(100));
   Network netw(sim, std::move(topo), 1e-4);
   Rng rng(13);
+  if (results) results->assign(transfers, TransferResult{});
   for (std::size_t i = 0; i < transfers; ++i) {
     const auto src = static_cast<NodeId>(rng.uniform_int(0, 7));
     const auto dst = static_cast<NodeId>(8 + rng.uniform_int(0, 31));
     const Bytes bytes = static_cast<Bytes>(rng.uniform_int(64 * KB, MB));
     const auto streams = static_cast<unsigned>(rng.uniform_int(1, 4));
-    sim.spawn([](Network& n, NodeId s, NodeId d, Bytes b, unsigned k) -> sim::Task<> {
-      (void)co_await n.transfer(s, d, b, k);
-    }(netw, src, dst, bytes, streams));
+    TransferResult* out = results ? &(*results)[i] : nullptr;
+    sim.spawn([](Network& n, NodeId s, NodeId d, Bytes b, unsigned k,
+                 TransferResult* o) -> sim::Task<> {
+      const auto r = co_await n.transfer(s, d, b, k);
+      if (o) *o = r;
+    }(netw, src, dst, bytes, streams, out));
   }
   sim.run();
   RunFingerprint fp;
@@ -193,6 +264,39 @@ TEST(NetworkIncremental, DeterministicAtSixteenThousandFlows) {
   EXPECT_TRUE(a == b);
   EXPECT_GT(a.solves, 0u);
   EXPECT_GT(a.dirty, a.solves);  // components average more than one class
+}
+
+// Digest over the exact bits of every transfer's start, finish and byte count.
+std::string results_digest(const std::vector<TransferResult>& results) {
+  StableHasher h;
+  for (const auto& r : results) {
+    h.mix_u64(std::bit_cast<std::uint64_t>(r.started))
+        .mix_u64(std::bit_cast<std::uint64_t>(r.finished))
+        .mix_u64(r.transferred);
+  }
+  return h.digest().to_hex();
+}
+
+TEST(NetworkIncremental, PinnedOutputsOfLargeRuns) {
+  // Literals captured from the reference implementation: any change to the
+  // solver, the drain schedule or the event order that moves a single
+  // simulated bit shows up here.
+  std::vector<TransferResult> results;
+  const auto big = big_run(4096, &results);
+  EXPECT_EQ(big.end_time, 0x1.a5b1b193606fbp+2);
+  EXPECT_EQ(results_digest(results), "d937d4b05b64388ca8fb9795d1a8ff46");
+  EXPECT_EQ(big.solves, 10170u);
+  EXPECT_EQ(big.full_solves, 1u);
+  EXPECT_EQ(big.dirty, 2370412u);
+
+  // Hierarchical churn with failures and restores (full solves included).
+  const auto churn = run_churn(hierarchical(6, 4), 31, 1000, /*with_failures=*/true,
+                               /*differential=*/false, &results);
+  EXPECT_EQ(churn.end_time, 0x1.490c3d201ac7ep+2);
+  EXPECT_EQ(results_digest(results), "ef6e1adfdc2c7e4ca0047a1cc8f979eb");
+  EXPECT_EQ(churn.counters.solves, 2322u);
+  EXPECT_EQ(churn.counters.full_solves, 9u);
+  EXPECT_EQ(churn.counters.dirty_classes, 21745u);
 }
 
 TEST(NetworkIncremental, SolverCountersExposeDirtySets) {
