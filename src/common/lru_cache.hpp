@@ -1,7 +1,7 @@
 // Bounded, mutex-guarded least-recently-used map — the one store behind
-// both speed-up caches: exp::ResultCache (finished run reports, plus file
-// persistence) and core::TemplateStore (execution templates, plus build /
-// patch counters and the audit flag).
+// both speed-up caches: exp::ResultCache (finished run reports) and
+// core::TemplateStore (execution templates, plus build / patch counters and
+// the audit flag).
 //
 // Semantics both rely on:
 //   * lookup() returns a *copy* of the value (nullopt on miss) and refreshes
@@ -97,15 +97,6 @@ class LruCache {
   std::uint64_t evictions() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return evictions_;
-  }
-
-  /// Visit every entry, least recently used first, under the lock (so
-  /// `fn` must not call back into this cache).  Re-inserting in visit order
-  /// reproduces the recency order.
-  template <typename Fn>
-  void for_each_lru_first(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) fn(it->first, it->second);
   }
 
  private:

@@ -37,6 +37,7 @@
 //     cells within one batch execute once, and fresh results are published
 //     back so later grids of the same process hit too.  Cached outcomes are
 //     copies of deterministic runs, hence field-identical to executing.
+//     The cache is in-process only; nothing is read from or written to disk.
 //     `set_cache(nullptr)` is the one opt-out: every job executes,
 //     duplicates included.
 //   * Jobs are dispatched longest-first by their `cost` estimate, so one
@@ -68,7 +69,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -168,25 +168,6 @@ std::size_t resolve_threads(std::size_t requested, std::size_t jobs);
 /// descending cost, ties keeping submission order (stable).
 std::vector<std::size_t> longest_first(const std::vector<double>& costs);
 
-/// One-time wiring of FRIEDA_RESULT_CACHE_FILE onto the process-global
-/// ResultCache<R>: attach the wire codec, load the checkpoint.  No-op for
-/// result types without a codec or when the variable is unset/empty.
-template <typename R>
-void wire_global_cache_persistence() {
-  if constexpr (ReportCodec<R>::kAvailable) {
-    static std::once_flag once;
-    std::call_once(once, [] {
-      const char* env = std::getenv("FRIEDA_RESULT_CACHE_FILE");
-      if (env == nullptr || *env == '\0') return;
-      auto& cache = ResultCache<R>::global();
-      cache.set_persistence(
-          env, [](const R& r) { return ReportCodec<R>::serialize(r); },
-          [](const std::string& text) { return ReportCodec<R>::deserialize(text); });
-      cache.load_file(env);
-    });
-  }
-}
-
 }  // namespace detail
 
 /// One unit of sweep work: a tag (for reports and error messages), a
@@ -266,11 +247,6 @@ class SweepRunner {
     steals_ = 0;
     schedule_.clear();
     backend_used_ = detail::resolve_backend(opt_.backend, ReportCodec<R>::kAvailable);
-
-    // Cross-process persistence: when FRIEDA_RESULT_CACHE_FILE names a
-    // checkpoint, the global cache loads it before the first lookup (once
-    // per process) and run() saves it back on completion below.
-    detail::wire_global_cache_persistence<R>();
 
     // Phase 1 — memoization: serve cache hits, collapse in-batch duplicates
     // onto one primary, collect the jobs that must actually execute.
@@ -394,10 +370,6 @@ class SweepRunner {
           cache_->insert(*jobs[i].fingerprint, *out[i].value);
         }
       }
-      // Sweep completion checkpoint: a cache with FRIEDA_RESULT_CACHE_FILE
-      // persistence attached writes itself back atomically, so the next
-      // process (or a re-run after an interrupt) starts from these cells.
-      cache_->save_if_persistent();
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (!twin_of[i].has_value()) continue;

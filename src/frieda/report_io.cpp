@@ -1,8 +1,11 @@
 #include "frieda/report_io.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -40,13 +43,23 @@ std::optional<bool> parse_bool01(const std::string& s) {
 // so a child that died mid-write surfaces as a parse error, not garbage.
 class LineReader {
  public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+  explicit LineReader(std::string_view text) : text_(text) {}
 
   std::string next(const char* what) {
-    std::string line;
-    FRIEDA_CHECK(static_cast<bool>(std::getline(in_, line)),
-                 "truncated report: missing " << what);
+    FRIEDA_CHECK(pos_ < text_.size(), "truncated report: missing " << what);
+    const std::size_t nl = std::min(text_.find('\n', pos_), text_.size());
+    std::string line(text_.substr(pos_, nl - pos_));
+    pos_ = nl + 1;
     return line;
+  }
+
+  // Lines not yet read (a final line without '\n' counts): an upper bound on
+  // the records a header count may still promise.
+  std::size_t lines_left() const {
+    if (pos_ >= text_.size()) return 0;
+    const auto rest = text_.substr(pos_);
+    return static_cast<std::size_t>(std::count(rest.begin(), rest.end(), '\n')) +
+           (rest.back() == '\n' ? 0 : 1);
   }
 
   // Next line split into fields; checks the record tag and field count.
@@ -61,7 +74,8 @@ class LineReader {
   }
 
  private:
-  std::istringstream in_;
+  std::string_view text_;
+  std::size_t pos_ = 0;
 };
 
 double require_f64(const std::string& field) {
@@ -74,6 +88,16 @@ std::uint64_t require_u64(const std::string& field) {
   const auto v = parse_u64(field);
   FRIEDA_CHECK(v.has_value(), "malformed integer field '" << field << "'");
   return *v;
+}
+
+// An unsigned field narrowed to T; a value T cannot hold is rejected by
+// name instead of wrapping in the cast.
+template <typename T>
+T require_uint(const std::string& field, const char* name) {
+  const std::uint64_t v = require_u64(field);
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  FRIEDA_CHECK(v <= kMax, "field " << name << " must be in [0, " << kMax << "], got " << v);
+  return static_cast<T>(v);
 }
 
 bool require_bool(const std::string& field) {
@@ -184,10 +208,20 @@ RunReport deserialize_run_report(const std::string& text) {
   FRIEDA_CHECK(in.next("header") == kRunHeader,
                "not a serialized run report (want '" << kRunHeader << "' header)");
   const auto size = in.record("size", 5);
-  const std::size_t n_units = require_u64(size[1]);
-  const std::size_t n_workers = require_u64(size[2]);
-  const std::size_t n_intervals = require_u64(size[3]);
-  const std::size_t n_latency = require_u64(size[4]);
+  // Every counted record takes a line of its own, so a count beyond the
+  // lines left is corrupt; reject it before it sizes any allocation.
+  const std::size_t lines_left = in.lines_left();
+  const auto count = [&](const std::string& field, const char* name) {
+    const std::uint64_t n = require_u64(field);
+    FRIEDA_CHECK(n <= lines_left, "report claims " << n << " " << name
+                                                   << " records but only " << lines_left
+                                                   << " lines follow");
+    return static_cast<std::size_t>(n);
+  };
+  const std::size_t n_units = count(size[1], "unit");
+  const std::size_t n_workers = count(size[2], "worker");
+  const std::size_t n_intervals = count(size[3], "interval");
+  const std::size_t n_latency = count(size[4], "latency");
 
   RunReport r;
   const auto head = in.record("head", 4);
@@ -221,13 +255,13 @@ RunReport deserialize_run_report(const std::string& text) {
   for (std::size_t i = 0; i < n_units; ++i) {
     const auto u = in.record("u", 10);
     UnitRecord rec;
-    rec.unit = static_cast<WorkUnitId>(require_u64(u[1]));
+    rec.unit = require_uint<WorkUnitId>(u[1], "unit");
     const std::uint64_t status = require_u64(u[2]);
     FRIEDA_CHECK(status <= static_cast<std::uint64_t>(UnitStatus::kUnprocessed),
                  "unknown unit status " << status);
     rec.status = static_cast<UnitStatus>(status);
-    rec.worker = static_cast<WorkerId>(require_u64(u[3]));
-    rec.attempts = static_cast<int>(require_u64(u[4]));
+    rec.worker = require_uint<WorkerId>(u[3], "worker");
+    rec.attempts = require_uint<int>(u[4], "attempts");
     rec.arrival = require_f64(u[5]);
     rec.dispatched = require_f64(u[6]);
     rec.finished = require_f64(u[7]);
@@ -239,9 +273,9 @@ RunReport deserialize_run_report(const std::string& text) {
   for (std::size_t i = 0; i < n_workers; ++i) {
     const auto w = in.record("w", 8);
     WorkerReport rec;
-    rec.worker = static_cast<WorkerId>(require_u64(w[1]));
-    rec.vm = static_cast<std::uint32_t>(require_u64(w[2]));
-    rec.slot = static_cast<unsigned>(require_u64(w[3]));
+    rec.worker = require_uint<WorkerId>(w[1], "worker");
+    rec.vm = require_uint<std::uint32_t>(w[2], "vm");
+    rec.slot = require_uint<unsigned>(w[3], "slot");
     rec.units_completed = require_u64(w[4]);
     rec.busy_seconds = require_f64(w[5]);
     rec.isolated = require_bool(w[6]);

@@ -6,8 +6,9 @@
 // line-based, escape-aware rendering of a `core::RunReport` that
 // round-trips *exactly* — every double is encoded as its IEEE-754 bit
 // pattern, so a report deserialized in the parent is field-identical (and
-// therefore CSV-byte-identical) to the one the child measured.  The same text is what `exp::ResultCache` persists to disk
-// (FRIEDA_RESULT_CACHE_FILE).
+// therefore CSV-byte-identical) to the one the child measured.  This pipe
+// frame is the only serialized form a report has: the result cache keeps
+// reports in memory and never writes them out.
 //
 // Format (one record per line, '|'-delimited, string fields escaped with
 // the same backslash scheme `ExecutionHistory` uses — see escape_field):

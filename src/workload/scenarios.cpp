@@ -183,9 +183,10 @@ std::uint64_t arrival_schedule_key(const ArrivalConfig& config, std::size_t coun
 void hash_options(StableHasher& h, const PaperScenarioOptions& opt) {
   FRIEDA_CHECK(fingerprintable(opt),
                "options with arrange/tracer/metrics/telemetry hooks cannot be fingerprinted");
-  // Fixed field order — this is the persistent cache-key encoding.  When a
-  // field is added to PaperScenarioOptions, append its mix here (changing
-  // every fingerprint is fine; *omitting* a behavior-affecting field is not).
+  // Fixed field order — the in-process result-cache key encoding.  When a
+  // field is added to PaperScenarioOptions, mix it here: the key never
+  // leaves the process, so changing every fingerprint is fine, but
+  // *omitting* a behavior-affecting field is not.
   h.mix_u64(opt.worker_vms)
       .mix_u64(opt.cores_per_vm)
       .mix_f64(opt.nic)

@@ -66,7 +66,7 @@ struct PaperScenarioOptions {
 bool fingerprintable(const PaperScenarioOptions& opt);
 
 /// Mix every behavior-affecting field of `opt` into `h`, in a fixed order
-/// (part of the cache-key encoding: extend only by appending new fields).
+/// (the in-process result-cache key encoding).
 /// Precondition: fingerprintable(opt).
 void hash_options(StableHasher& h, const PaperScenarioOptions& opt);
 

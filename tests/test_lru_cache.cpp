@@ -3,8 +3,6 @@
 // cap changes, and eviction counting.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "common/lru_cache.hpp"
 
 namespace frieda {
@@ -61,15 +59,11 @@ TEST(LruCache, ShrinkingTheCapEvictsImmediately) {
   EXPECT_EQ(cache.size(), 23u);
 }
 
-TEST(LruCache, ClearKeepsCountersAndVisitIsLruFirst) {
+TEST(LruCache, ClearKeepsCounters) {
   LruCache<int, int> cache(2);
   cache.insert(1, 10);
   cache.insert(2, 20);
   (void)cache.lookup(1);  // 1 is now the most recent
-  std::vector<int> order;
-  cache.for_each_lru_first([&](const int& key, const int&) { order.push_back(key); });
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-
   cache.insert(3, 30);  // evicts 2
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);

@@ -217,5 +217,39 @@ TEST(RunReportIo, DeserializeRejectsMalformedText) {
   EXPECT_THROW(deserialize_run_report(corrupt), FriedaError);
 }
 
+// A minimal frame: the given size record and counted records around zeroed
+// fixed records.
+std::string frame(const std::string& size, const std::string& records = "") {
+  const std::string z = "|0000000000000000";
+  return "frieda-run-report v1\n" + size + "\nhead|a|s|m\ntime" + z + z + z + z +
+         "\nunits|0|0|0|0\nnet|0|0|0\nsvc|0" + z + "|0|0\n" + records + "end\n";
+}
+
+// Header counts and narrow fields come from the pipe, not from the code that
+// wrote them: an impossible count must fail as a FriedaError before it sizes
+// an allocation, and a value beyond its field's type must not wrap.
+TEST(RunReportIo, DeserializeRejectsImpossibleCounts) {
+  ASSERT_NO_THROW(deserialize_run_report(frame("size|0|0|0|0")));
+  for (const char* size : {"size|4000000000000000000|0|0|0", "size|2000000000|0|0|0",
+                           "size|0|2000000000|0|0", "size|0|0|0|2000000000",
+                           "size|0|0|18446744073709551615|0"}) {
+    SCOPED_TRACE(size);
+    EXPECT_THROW(deserialize_run_report(frame(size)), FriedaError);
+  }
+
+  const std::string z = "|0000000000000000";
+  const auto unit = [&](const std::string& attempts) {
+    return "u|0|0|0|" + attempts + z + z + z + z + z + "\n";
+  };
+  EXPECT_EQ(deserialize_run_report(frame("size|1|0|0|0", unit("1"))).units.at(0).attempts, 1);
+  // 2^32 + 1 would read back as 1 through a plain cast.
+  try {
+    deserialize_run_report(frame("size|1|0|0|0", unit("4294967297")));
+    FAIL() << "attempts 2^32+1 was accepted";
+  } catch (const FriedaError& e) {
+    EXPECT_NE(std::string(e.what()).find("attempts"), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace frieda::core

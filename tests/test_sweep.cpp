@@ -6,17 +6,13 @@
 // lifecycle, runner metrics, concurrent create-or-get on shared
 // MetricsRegistry / ResultCache instances (the tests the tsan preset
 // exists for), backend selection (FRIEDA_SWEEP_BACKEND), the fork-based
-// process backend (identical results, crash isolation), steal-half
-// dispatch, and result-cache persistence (FRIEDA_RESULT_CACHE_FILE).
+// process backend (identical results, crash isolation), and steal-half
+// dispatch.
 #include <gtest/gtest.h>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -994,226 +990,6 @@ TEST(Stealing, SkewedGridStealsWithIdenticalResults) {
     EXPECT_EQ(stolen[i].get(), kept[i].get());
     EXPECT_EQ(stolen[i].get(), serial[i].get());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Result-cache persistence (FRIEDA_RESULT_CACHE_FILE).
-// ---------------------------------------------------------------------------
-
-std::string temp_cache_path(const char* name) {
-  return std::string(testing::TempDir()) + "/" + name;
-}
-
-int decode_int_strict(const std::string& s) {
-  std::size_t used = 0;
-  const int v = std::stoi(s, &used);
-  if (used != s.size()) throw std::runtime_error("trailing junk in payload");
-  return v;
-}
-
-void attach_int_codec(ResultCache<int>& cache, const std::string& path) {
-  cache.set_persistence(path, [](const int& v) { return std::to_string(v); },
-                        decode_int_strict);
-}
-
-TEST(ResultCachePersistence, SaveThenLoadRoundTrips) {
-  const auto path = temp_cache_path("frieda_cache_roundtrip.txt");
-  std::remove(path.c_str());
-  StableHasher ha;
-  StableHasher hb;
-  const auto ka = ha.mix_str("cell-a").digest();
-  const auto kb = hb.mix_str("cell-b").digest();
-
-  ResultCache<int> writer;
-  EXPECT_FALSE(writer.save_if_persistent());  // no path attached -> no-op
-  attach_int_codec(writer, path);
-  EXPECT_EQ(writer.persist_path(), path);
-  writer.insert(ka, 17);
-  writer.insert(kb, 42);
-  ASSERT_TRUE(writer.save_if_persistent());
-  struct stat st;
-  EXPECT_NE(::stat(path.c_str(), &st), -1);
-  EXPECT_EQ(::stat((path + ".tmp").c_str(), &st), -1)
-      << "atomic save must not leave a temp file behind";
-
-  ResultCache<int> reader;
-  attach_int_codec(reader, path);
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_EQ(reader.size(), 2u);
-  EXPECT_EQ(reader.lookup(ka).value(), 17);
-  EXPECT_EQ(reader.lookup(kb).value(), 42);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, InProcessEntriesWinOverFileEntries) {
-  const auto path = temp_cache_path("frieda_cache_merge.txt");
-  StableHasher ha;
-  StableHasher hb;
-  const auto ka = ha.mix_str("cell-a").digest();
-  const auto kb = hb.mix_str("cell-b").digest();
-  ResultCache<int> writer;
-  attach_int_codec(writer, path);
-  writer.insert(ka, 1);
-  writer.insert(kb, 2);
-  ASSERT_TRUE(writer.save_if_persistent());
-
-  ResultCache<int> reader;
-  attach_int_codec(reader, path);
-  reader.insert(ka, 99);  // fresher in-process value
-  ASSERT_TRUE(reader.load_file(path));
-  EXPECT_EQ(reader.lookup(ka).value(), 99);  // in-process wins
-  EXPECT_EQ(reader.lookup(kb).value(), 2);   // file seeds the rest
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, MalformedEntriesAreSkippedNotTrusted) {
-  const auto path = temp_cache_path("frieda_cache_malformed.txt");
-  StableHasher hg;
-  StableHasher hbad;
-  const auto good = hg.mix_str("good").digest();
-  const auto undecodable = hbad.mix_str("undecodable").digest();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-result-cache v1\n", f);
-    std::fprintf(f, "%s 2\n42\n", good.to_hex().c_str());
-    std::fputs("zz not-an-entry\n", f);  // malformed meta line
-    std::fprintf(f, "%s 5\nhello\n", undecodable.to_hex().c_str());  // bad payload
-    std::fclose(f);
-  }
-  ResultCache<int> cache;
-  attach_int_codec(cache, path);
-  EXPECT_TRUE(cache.load_file(path));  // something valid was loaded
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup(good).value(), 42);
-  EXPECT_FALSE(cache.lookup(undecodable).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, WrongHeaderIsRejectedEntirely) {
-  const auto path = temp_cache_path("frieda_cache_header.txt");
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-result-cache v999\n", f);
-    std::fclose(f);
-  }
-  ResultCache<int> cache;
-  attach_int_codec(cache, path);
-  EXPECT_FALSE(cache.load_file(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, OverflowingLengthIsRejected) {
-  // 2^64 + 3 used to wrap to a 3-byte length, loading "abc" as an entry.
-  const auto path = temp_cache_path("frieda_cache_overflow.txt");
-  StableHasher h;
-  const auto key = h.mix_str("overflow").digest();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("frieda-result-cache v1\n", f);
-    std::fprintf(f, "%s 18446744073709551619\nabc\n", key.to_hex().c_str());
-    std::fclose(f);
-  }
-  ResultCache<std::string> cache;
-  cache.set_persistence(path, [](const std::string& v) { return v; },
-                        [](const std::string& v) { return v; });
-  EXPECT_FALSE(cache.load_file(path));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(ResultCachePersistence, MissingFileIsAQuietColdStart) {
-  ResultCache<int> cache;
-  EXPECT_FALSE(cache.load_file(temp_cache_path("frieda_cache_nonexistent.txt")));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ResultCachePersistence, SweepCompletionCheckpointsTheCache) {
-  const auto path = temp_cache_path("frieda_cache_sweep.txt");
-  std::remove(path.c_str());
-  ResultCache<int> cache;
-  attach_int_codec(cache, path);
-  StableHasher h;
-  const auto fp = h.mix_str("sweep-cell").digest();
-  SweepRunner<int> runner(SweepOptions{1});
-  runner.set_cache(&cache);
-  std::vector<Job<int>> jobs;
-  jobs.push_back({"cell", [] { return 123; }, fp});
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-
-  // run() checkpointed on completion: a fresh cache reloads the cell.
-  ResultCache<int> reloaded;
-  attach_int_codec(reloaded, path);
-  ASSERT_TRUE(reloaded.load_file(path));
-  EXPECT_EQ(reloaded.lookup(fp).value(), 123);
-  std::remove(path.c_str());
-}
-
-}  // namespace
-
-// A test-only result type with its own wire codec: exercises the
-// FRIEDA_RESULT_CACHE_FILE wiring on a fresh once_flag without touching the
-// global RunReport/RtReport caches other tests share.
-struct WireProbe {
-  int v = 0;
-};
-
-template <>
-struct ReportCodec<WireProbe> {
-  static constexpr bool kAvailable = true;
-  static std::string serialize(const WireProbe& p) { return std::to_string(p.v); }
-  static WireProbe deserialize(const std::string& s) {
-    std::size_t used = 0;
-    const int v = std::stoi(s, &used);
-    if (used != s.size()) throw std::runtime_error("bad probe payload");
-    return WireProbe{v};
-  }
-};
-
-namespace {
-
-TEST(ResultCachePersistence, EnvVariableWiresTheGlobalCache) {
-  const auto path = temp_cache_path("frieda_cache_env.txt");
-  std::remove(path.c_str());
-  StableHasher h;
-  const auto fp = h.mix_str("env-cell").digest();
-  {
-    // Seed the checkpoint from a disposable cache with the same codec.
-    ResultCache<WireProbe> seed;
-    seed.set_persistence(
-        path, [](const WireProbe& p) { return ReportCodec<WireProbe>::serialize(p); },
-        [](const std::string& s) { return ReportCodec<WireProbe>::deserialize(s); });
-    seed.insert(fp, WireProbe{7});
-    ASSERT_TRUE(seed.save_if_persistent());
-  }
-
-  ASSERT_EQ(setenv("FRIEDA_RESULT_CACHE_FILE", path.c_str(), 1), 0);
-  // First sweep over this result type: run() wires the process-global cache
-  // from the environment and loads the checkpoint before the first lookup.
-  std::atomic<int> executed{0};
-  SweepRunner<WireProbe> runner(SweepOptions{1});
-  std::vector<Job<WireProbe>> jobs;
-  jobs.push_back({"env-cell", [&executed]() -> WireProbe {
-                    ++executed;
-                    return WireProbe{999};
-                  },
-                  fp});
-  const auto out = runner.run(std::move(jobs));
-  ASSERT_TRUE(out[0].ok());
-  EXPECT_EQ(out[0].get().v, 7);  // served from the loaded checkpoint
-  EXPECT_TRUE(out[0].from_cache);
-  EXPECT_EQ(executed.load(), 0);
-  EXPECT_EQ(ResultCache<WireProbe>::global().persist_path(), path);
-
-  ASSERT_EQ(unsetenv("FRIEDA_RESULT_CACHE_FILE"), 0);
-  ResultCache<WireProbe>::global().set_persistence("", nullptr, nullptr);
-  ResultCache<WireProbe>::global().clear();
-  std::remove(path.c_str());
 }
 
 }  // namespace
