@@ -39,7 +39,8 @@ std::uint64_t class_key(NodeId src, NodeId dst) {
 Network::Network(sim::Simulation& sim, Topology topology, SimTime latency, Bandwidth loopback)
     : sim_(sim), topology_(std::move(topology)), latency_(latency), loopback_(loopback) {
   FRIEDA_CHECK(latency_ >= 0.0, "latency must be >= 0");
-  FRIEDA_CHECK(loopback_ > 0.0, "loopback bandwidth must be > 0");
+  FRIEDA_CHECK(std::isfinite(loopback_) && loopback_ > 0.0,
+               "loopback bandwidth must be finite and > 0, got " << loopback_);
 }
 
 Network::Counters Network::Counters::since(const Counters& base) const {
@@ -276,6 +277,7 @@ void Network::attach_class(std::uint32_t slot) {
 
 void Network::detach_class(std::uint32_t slot) {
   FlowClass& cls = classes_[slot];
+  std::size_t still_shared = 0;  // resources left with other users
   for (std::size_t i = 0; i < cls.resources.size(); ++i) {
     const std::size_t pid = cls.resources[i];
     auto& users = resource_users_[pid];
@@ -283,6 +285,7 @@ void Network::detach_class(std::uint32_t slot) {
     const std::uint32_t moved = users.back();
     users[pos] = moved;
     users.pop_back();
+    if (!users.empty()) ++still_shared;
     if (moved != slot) {
       // Tell the moved class where it lives now (its resource lists are
       // short — at most egress/ingress/pair/2 uplinks/backbone/site).
@@ -296,6 +299,10 @@ void Network::detach_class(std::uint32_t slot) {
     }
   }
   cls.attached = false;
+  // A leaf — a class that shared at most one resource with the rest — leaves
+  // its component connected.  Through two shared resources it may have been
+  // the only bridge between them: the component may have split.
+  if (still_shared >= 2) component_kept_ = false;
 }
 
 void Network::resolve(std::uint32_t seed_slot) {
@@ -304,8 +311,37 @@ void Network::resolve(std::uint32_t seed_slot) {
     full_solve();
     return;
   }
-  collect_component(seed_slot);
-  solve_component(/*full=*/false);
+  if (!kept_component_covers(seed_slot)) collect_component(seed_slot);
+  if (differential_check_) audit_component(seed_slot);
+  solve_component();
+}
+
+bool Network::kept_component_covers(std::uint32_t seed_slot) {
+  if (!component_kept_) return false;
+  FlowClass& cls = classes_[seed_slot];
+  if (cls.attached) return cls.visit_epoch == solve_epoch_;
+  // A freshly activated class joins without a BFS only when every class on
+  // its resources is already a member, and there is at least one: it then
+  // bridges nothing, and its resources no other class uses are new to the
+  // component.
+  if (!cls.cached || cls.cached_version != resources_version_) rebuild_class_resources(cls);
+  bool has_neighbour = false;
+  for (const std::size_t pid : cls.resources) {
+    for (const std::uint32_t user : resource_users_[pid]) {
+      if (classes_[user].visit_epoch != solve_epoch_) return false;
+      has_neighbour = true;
+    }
+  }
+  if (!has_neighbour) return false;
+  attach_class(seed_slot);
+  cls.visit_epoch = solve_epoch_;
+  component_.push_back(seed_slot);
+  for (const std::size_t pid : cls.resources) {
+    if (resource_epoch_[pid] == solve_epoch_) continue;
+    resource_epoch_[pid] = solve_epoch_;
+    component_resources_.push_back(pid);
+  }
+  return true;
 }
 
 void Network::collect_component(std::uint32_t seed_slot) {
@@ -337,6 +373,7 @@ void Network::collect_component(std::uint32_t seed_slot) {
       }
     }
   }
+  component_kept_ = true;
 }
 
 void Network::full_solve() {
@@ -358,11 +395,12 @@ void Network::full_solve() {
   }
   component_resources_.resize(resource_caps_.size());
   std::iota(component_resources_.begin(), component_resources_.end(), std::size_t{0});
+  component_kept_ = false;  // every active class: possibly many components
   ++counters_.full_solves;
-  solve_component(/*full=*/true);
+  solve_component();
 }
 
-void Network::solve_component(bool full) {
+void Network::solve_component() {
   const auto heap_less = [](const FlowPtr& a, const FlowPtr& b) {
     return a->target > b->target || (a->target == b->target && a->seq > b->seq);
   };
@@ -403,7 +441,15 @@ void Network::solve_component(bool full) {
       component_[keep++] = slot;
     }
   }
-  component_.resize(keep);
+  if (keep < component_.size()) {
+    component_.resize(keep);
+    // Resources the departed classes used alone leave the component too.
+    std::erase_if(component_resources_, [this](std::size_t pid) {
+      if (!resource_users_[pid].empty()) return false;
+      resource_epoch_[pid] = 0;
+      return true;
+    });
+  }
   if (component_.empty()) return;
 
   // Solve in place: the component's classes and persistent resource ids.
@@ -421,14 +467,6 @@ void Network::solve_component(bool full) {
       },
       fair_scratch_);
 
-  if (full) {
-    // The pre-incremental solver required global progress; keep that check
-    // where we still see the whole system at once.
-    bool any_progress = false;
-    for (const std::uint32_t slot : component_) any_progress |= classes_[slot].rate > 0.0;
-    FRIEDA_CHECK(any_progress, "active flows exist but none can make progress");
-  }
-
   for (const std::uint32_t slot : component_) update_completion(slot);
 
   if (differential_check_) run_differential_check();
@@ -436,13 +474,10 @@ void Network::solve_component(bool full) {
 
 void Network::update_completion(std::uint32_t slot) {
   FlowClass& cls = classes_[slot];
-  if (cls.rate <= 0.0) {
-    // No finite bottleneck (orphan class): it cannot drain until some event
-    // changes its component.  Matches the pre-incremental behavior of a
-    // zero-rate flow simply never contributing a completion estimate.
-    unschedule_drain(slot);
-    return;
-  }
+  // Every class crosses a finite NIC or loopback device, and every capacity
+  // is positive: each class has a positive bottleneck share.
+  FRIEDA_CHECK(cls.rate > 0.0,
+               "flow class " << cls.src << "->" << cls.dst << " solved to rate " << cls.rate);
   const SimTime now = sim_.now();  // == cls.work_time after accrue()
   const SimTime t =
       now + std::max((cls.heap.front()->target - cls.work) / cls.rate, kMinTimeStep);
@@ -591,6 +626,47 @@ void Network::run_differential_check() {
   }
 }
 
+void Network::audit_component(std::uint32_t seed_slot) const {
+  // A fresh BFS from the seed, in local buffers, must find exactly the
+  // classes and resources the solve is about to use.
+  std::vector<unsigned char> in_class(classes_.size(), 0);
+  std::vector<unsigned char> in_resource(resource_caps_.size(), 0);
+  std::vector<std::uint32_t> queue{seed_slot};
+  std::size_t resources = 0;
+  in_class[seed_slot] = 1;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (const std::size_t pid : classes_[queue[i]].resources) {
+      if (in_resource[pid]) continue;
+      in_resource[pid] = 1;
+      ++resources;
+      for (const std::uint32_t user : resource_users_[pid]) {
+        if (in_class[user]) continue;
+        in_class[user] = 1;
+        queue.push_back(user);
+      }
+    }
+  }
+  const FlowClass& seed = classes_[seed_slot];
+  FRIEDA_CHECK(component_.size() == queue.size() && component_resources_.size() == resources,
+               "component of class " << seed.src << "->" << seed.dst << ": solving "
+                   << component_.size() << " classes over " << component_resources_.size()
+                   << " resources, a fresh BFS finds " << queue.size() << " over " << resources);
+  // Equal sizes, and each member found once in the BFS set: equal sets.
+  for (const std::uint32_t slot : component_) {
+    FRIEDA_CHECK(in_class[slot], "component of class " << seed.src << "->" << seed.dst
+                                     << " holds class " << classes_[slot].src << "->"
+                                     << classes_[slot].dst << " a fresh BFS does not reach"
+                                     << " (or holds it twice)");
+    in_class[slot] = 0;
+  }
+  for (const std::size_t pid : component_resources_) {
+    FRIEDA_CHECK(in_resource[pid], "component of class " << seed.src << "->" << seed.dst
+                                       << " holds resource " << pid
+                                       << " a fresh BFS does not reach (or holds it twice)");
+    in_resource[pid] = 0;
+  }
+}
+
 void Network::audit_drain_schedule() const {
   // Every active class with a positive rate is queued exactly once, and its
   // entry is never later than its exact drain time (a lazy entry may only be
@@ -637,6 +713,7 @@ void Network::fail_node(NodeId node) {
   // Abort every flow touching the node, crediting the bytes its class's old
   // rate delivered up to now (the awaiting transfer reports partial bytes).
   component_ = active_classes_;  // snapshot: deactivation mutates the list
+  component_kept_ = false;
   for (const std::uint32_t slot : component_) {
     FlowClass& cls = classes_[slot];
     if (cls.src != node && cls.dst != node) continue;

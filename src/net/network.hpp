@@ -20,6 +20,17 @@
 // place on persistent resource ids.  Topology mutations and node
 // failure/restore bump an invalidation version that forces one full solve.
 //
+// Kept component: the component a BFS collected stays in component_ and
+// component_resources_ between solves, so a solve seeded inside it skips the
+// BFS.  Membership changes keep it exact: a class that empties leaves it
+// (with the resources only it used), and a freshly activated class whose
+// resources are used only by members — at least one — joins it.  The kept
+// component is dropped, and the next solve runs the BFS, on a full solve, on
+// fail_node, and when a departing class leaves two or more of its resources
+// with other users (it may have been their only bridge: the component may
+// have split).  Members are kept in order with joiners appended, not in
+// BFS-from-seed order; max-min rates do not depend on the order.
+//
 // Drain times live in one network-owned drain schedule: an indexed min-heap
 // of classes ordered by (fire time, schedule sequence), with a single
 // simulation event armed at its top.  A class's entry may be early (its rate
@@ -101,7 +112,7 @@ class Network {
 
   /// Construct over a topology.  `latency` is the per-transfer setup cost
   /// (connection establishment; the paper uses scp per file).  `loopback`
-  /// is the rate for src==dst copies, which bypass the NIC.
+  /// is the rate for src==dst copies, which bypass the NIC (finite, > 0).
   Network(sim::Simulation& sim, Topology topology, SimTime latency = 1e-3,
           Bandwidth loopback = gbps(10));
 
@@ -211,8 +222,8 @@ class Network {
     // Drain schedule (valid while queued).
     std::uint32_t drain_pos = kNotQueued;  ///< position in drain_queue_
     SimTime completion_time = 0.0;         ///< drain estimate of the queued entry
-    // Per-solve scratch.
-    std::uint64_t visit_epoch = 0;  ///< BFS stamp (dirty-set collection)
+    // Component membership.
+    std::uint64_t visit_epoch = 0;  ///< attached and == solve_epoch_: kept member
   };
 
   /// One drain-schedule entry.  Equal fire times pop in schedule order, the
@@ -251,14 +262,20 @@ class Network {
   /// invalidation version moved, else the seed's connected component only.
   void resolve(std::uint32_t seed_slot);
   void full_solve();
+  /// True when the kept component is the seed's (a fresh seed that only
+  /// touches members joins it); false means a BFS must collect it.
+  bool kept_component_covers(std::uint32_t seed_slot);
   /// BFS into component_, recording its resources in component_resources_.
   void collect_component(std::uint32_t seed_slot);
   /// Shared solve tail over component_: accrue, drain, solve, reschedule.
-  void solve_component(bool full);
+  void solve_component();
   void update_completion(std::uint32_t slot);
   void on_class_completion(std::uint32_t slot);
   void complete_flow(const FlowPtr& flow, TransferStatus status);
   void run_differential_check();
+  /// Differential check: component_ and component_resources_ equal, as sets,
+  /// what a fresh BFS from the seed collects.
+  void audit_component(std::uint32_t seed_slot) const;
 
   // ---- drain schedule ----
   /// Queue (or move) the class's drain entry for exact drain estimate `t`.
@@ -311,6 +328,10 @@ class Network {
   // ---- reusable solver buffers ----
   std::vector<std::uint32_t> component_;        ///< dirty set (class slots)
   std::vector<std::size_t> component_resources_;  ///< its resource ids, once each
+  /// component_ is still one whole connected component, its members stamped
+  /// visit_epoch == solve_epoch_ and its resources resource_epoch_ ==
+  /// solve_epoch_ (see "Kept component" in the header comment).
+  bool component_kept_ = false;
   std::vector<FlowPtr> drained_;                ///< flows completing this solve
   std::vector<std::uint64_t> resource_epoch_;   ///< BFS stamp per resource id
   FairshareScratch fair_scratch_;               ///< indexed by resource id

@@ -1,11 +1,26 @@
 #include "net/topology.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace frieda::net {
 
+namespace {
+
+// Every flow crosses its endpoints' NICs, so a finite NIC gives every flow a
+// finite bottleneck; two infinite NICs would leave a flow with nothing to
+// fill against.
+void check_nic(Bandwidth egress, Bandwidth ingress) {
+  FRIEDA_CHECK(std::isfinite(egress) && egress > 0 && std::isfinite(ingress) && ingress > 0,
+               "NIC capacities must be finite and positive, got egress "
+                   << egress << ", ingress " << ingress);
+}
+
+}  // namespace
+
 NodeId Topology::add_node(std::string name, Bandwidth egress, Bandwidth ingress) {
-  FRIEDA_CHECK(egress > 0 && ingress > 0, "NIC capacities must be positive");
+  check_nic(egress, ingress);
   nodes_.push_back(Node{std::move(name), egress, ingress});
   ++version_;
   return static_cast<NodeId>(nodes_.size() - 1);
@@ -32,7 +47,7 @@ Bandwidth Topology::ingress(NodeId id) const {
 
 void Topology::set_nic(NodeId id, Bandwidth egress, Bandwidth ingress) {
   check(id);
-  FRIEDA_CHECK(egress > 0 && ingress > 0, "NIC capacities must be positive");
+  check_nic(egress, ingress);
   nodes_[id].egress = egress;
   nodes_[id].ingress = ingress;
   ++version_;
@@ -43,6 +58,12 @@ void Topology::set_pair_limit(NodeId src, NodeId dst, Bandwidth cap) {
   check(dst);
   FRIEDA_CHECK(cap > 0, "pair limit must be positive");
   pair_limits_[pair_key(src, dst)] = cap;
+  ++version_;
+}
+
+void Topology::set_backbone_capacity(Bandwidth cap) {
+  FRIEDA_CHECK(cap > 0, "backbone capacity must be positive");
+  backbone_ = cap;
   ++version_;
 }
 

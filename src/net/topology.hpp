@@ -52,7 +52,7 @@ inline constexpr RackId kNoRack = 0xffffffffu;
 class Topology {
  public:
   /// Add a node; returns its id.  `egress`/`ingress` are NIC capacities in
-  /// bytes/second.
+  /// bytes/second, finite and positive.
   NodeId add_node(std::string name, Bandwidth egress, Bandwidth ingress);
 
   /// Number of nodes.
@@ -65,7 +65,8 @@ class Topology {
   Bandwidth egress(NodeId id) const;
   Bandwidth ingress(NodeId id) const;
 
-  /// Replace a node's NIC capacities (elastic re-provisioning).
+  /// Replace a node's NIC capacities (elastic re-provisioning; finite and
+  /// positive).
   void set_nic(NodeId id, Bandwidth egress, Bandwidth ingress);
 
   /// Provision a directional per-pair bandwidth cap (src -> dst).
@@ -74,11 +75,9 @@ class Topology {
   /// Pair cap if provisioned, else +infinity.
   Bandwidth pair_limit(NodeId src, NodeId dst) const;
 
-  /// Cap the aggregate backbone (default: unconstrained switch).
-  void set_backbone_capacity(Bandwidth cap) {
-    backbone_ = cap;
-    ++version_;
-  }
+  /// Cap the aggregate backbone (default: unconstrained switch; +infinity
+  /// removes the cap).  Must be positive.
+  void set_backbone_capacity(Bandwidth cap);
 
   /// Backbone capacity (+infinity when unconstrained).
   Bandwidth backbone_capacity() const { return backbone_; }

@@ -1,5 +1,6 @@
 #include "workload/scenario_config.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -47,19 +48,29 @@ T get_count(const Config& config, const std::string& key, T def) {
   return static_cast<T>(v);
 }
 
+/// Read a link rate in Mbps.  It must be finite and positive: `strtod`
+/// accepts "inf", and a transfer between two infinite NICs has no
+/// bottleneck to fill against.
+double get_mbps(const Config& config, const std::string& key, double def) {
+  const double v = config.get_double(key, def);
+  FRIEDA_CHECK(std::isfinite(v) && v > 0.0,
+               "rate " << key << " must be finite and > 0, got " << v);
+  return v;
+}
+
 }  // namespace
 
 core::RunReport run_scenario(const Config& config) {
   // ---- cluster ----
   sim::Simulation sim(static_cast<std::uint64_t>(config.get_int("cluster.seed", 2012)));
   cluster::ClusterOptions copts;
-  const double nic = config.get_double("cluster.nic_mbps", 100.0);
+  const double nic = get_mbps(config, "cluster.nic_mbps", 100.0);
   copts.source_nic_up = mbps(nic);
   copts.source_nic_down = mbps(nic);
   copts.with_storage_server =
       config.get_bool("cluster.storage", false) ||
       config.get_string("run.strategy", "") == "shared-volume";
-  copts.storage_nic = mbps(config.get_double("cluster.storage_nic_mbps", 1000.0));
+  copts.storage_nic = mbps(get_mbps(config, "cluster.storage_nic_mbps", 1000.0));
   cluster::VirtualCluster cluster(sim, copts);
 
   auto type = cluster::c1_xlarge();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -199,6 +200,115 @@ TEST_P(WeightedEquivalence, CoalescedRatesMatchFlatSolver) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, WeightedEquivalence,
                          ::testing::Range<std::uint64_t>(0, 60));
+
+// Textbook progressive filling, one flow at a time and independent of
+// progressive_fill: each round computes every resource's equal share, takes
+// the smallest as the bottleneck, freezes every flow crossing a resource
+// whose round-start share is within 1e-12 of it, and then subtracts the
+// share once per frozen flow (and per listing of a resource) from each
+// resource that still carries unfrozen flows.
+std::vector<Bandwidth> reference_rates(const std::vector<Bandwidth>& caps,
+                                       const std::vector<FlowConstraints>& flows) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> residual = caps;
+  std::vector<std::uint64_t> unfrozen(caps.size(), 0);
+  for (const auto& f : flows) {
+    for (const std::size_t r : f.resources) ++unfrozen[r];
+  }
+  std::vector<Bandwidth> rate(flows.size(), 0.0);
+  std::vector<bool> frozen(flows.size(), false);
+  std::size_t remaining = flows.size();
+  while (remaining > 0) {
+    std::vector<double> share(caps.size(), inf);
+    double best = inf;
+    for (std::size_t r = 0; r < caps.size(); ++r) {
+      if (unfrozen[r] == 0) continue;
+      share[r] = std::max(residual[r], 0.0) / static_cast<double>(unfrozen[r]);
+      best = std::min(best, share[r]);
+    }
+    if (best == inf) break;  // only unconstrained resources left
+    std::vector<std::size_t> round;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      if (frozen[f]) continue;
+      for (const std::size_t r : flows[f].resources) {
+        if (share[r] <= best * (1.0 + 1e-12)) {
+          round.push_back(f);
+          break;
+        }
+      }
+    }
+    for (const std::size_t f : round) {
+      frozen[f] = true;
+      rate[f] = best;
+      for (const std::size_t r : flows[f].resources) --unfrozen[r];
+    }
+    remaining -= round.size();
+    for (const std::size_t f : round) {
+      for (const std::size_t r : flows[f].resources) {
+        if (unfrozen[r] > 0) residual[r] -= best;
+      }
+    }
+  }
+  return rate;
+}
+
+// The solver against the textbook reference, bit for bit: random coalesced
+// instances with classes that list a resource twice, zero and infinite
+// capacities, and capacities set so that round-one shares sit within a few
+// 1e-12 of a tie (either side of the freeze tolerance).
+class FillReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FillReference, SolverMatchesTextbookPerFlowFillBitForBit) {
+  Rng rng(GetParam() * 104729 + 11);
+  const std::size_t nr = 1 + rng.index(8);
+  const std::size_t nc = 1 + rng.index(8);
+  std::vector<WeightedFlowConstraints> classes(nc);
+  std::vector<std::uint64_t> crossing(nr, 0);
+  for (auto& cls : classes) {
+    const std::size_t k = 1 + rng.index(std::min<std::size_t>(nr, 4));
+    for (std::size_t j = 0; j < k; ++j) cls.resources.push_back(rng.index(nr));
+    if (rng.chance(0.2)) cls.resources.push_back(cls.resources.front());  // listed twice
+    cls.count = 1 + rng.index(5);
+    for (const std::size_t r : cls.resources) crossing[r] += cls.count;
+  }
+  // Near ties: every constrained resource's round-one share is `base`
+  // nudged by a relative offset around the 1e-12 tolerance.
+  const double base = rng.uniform(1.0, 100.0);
+  const double nudges[] = {0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, 1e-9};
+  std::vector<Bandwidth> caps(nr);
+  for (std::size_t r = 0; r < nr; ++r) {
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 0.1) {
+      caps[r] = 0.0;
+    } else if (roll < 0.2) {
+      caps[r] = std::numeric_limits<Bandwidth>::infinity();
+    } else if (roll < 0.7) {
+      const double nudge = nudges[rng.index(std::size(nudges))];
+      caps[r] = base * static_cast<double>(std::max<std::uint64_t>(crossing[r], 1)) * (1.0 + nudge);
+    } else {
+      caps[r] = rng.uniform(1.0, 100.0);
+    }
+  }
+
+  std::vector<FlowConstraints> flat;
+  std::vector<std::size_t> class_of_flat;
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::uint64_t m = 0; m < classes[c].count; ++m) {
+      flat.push_back({classes[c].resources});
+      class_of_flat.push_back(c);
+    }
+  }
+  const auto expected = reference_rates(caps, flat);
+  const auto weighted = max_min_fair_rates_weighted(caps, classes);
+  const auto per_flow = max_min_fair_rates(caps, flat);
+  for (std::size_t f = 0; f < flat.size(); ++f) {
+    EXPECT_EQ(weighted[class_of_flat[f]], expected[f]) << "flow " << f;
+    EXPECT_EQ(per_flow[f], expected[f]) << "flow " << f;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, FillReference,
+                         ::testing::Range<std::uint64_t>(0, 400));
 
 }  // namespace
 }  // namespace frieda::net

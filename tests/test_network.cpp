@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -38,6 +39,27 @@ TEST(Topology, Basics) {
   EXPECT_TRUE(t.has_backbone_cap());
   EXPECT_THROW(t.name(99), FriedaError);
   EXPECT_THROW(t.add_node("bad", 0.0, 1.0), FriedaError);
+}
+
+TEST(Topology, CapacitiesMustBeFiniteAndPositive) {
+  // An infinite NIC used to be accepted: a transfer between two such nodes
+  // had no finite bottleneck, solved to rate 0 and silently never finished.
+  constexpr Bandwidth kInf = std::numeric_limits<Bandwidth>::infinity();
+  Topology t;
+  EXPECT_THROW(t.add_node("inf", kInf, kInf), FriedaError);
+  EXPECT_THROW(t.add_node("half", mbps(100), kInf), FriedaError);
+  EXPECT_THROW(t.add_node("nan", std::nan(""), mbps(100)), FriedaError);
+  const auto a = t.add_node("a", mbps(100), mbps(100));
+  EXPECT_THROW(t.set_nic(a, kInf, mbps(100)), FriedaError);
+  EXPECT_THROW(t.set_nic(a, mbps(100), -1.0), FriedaError);
+  EXPECT_DOUBLE_EQ(t.egress(a), mbps(100));
+  EXPECT_THROW(t.set_backbone_capacity(0.0), FriedaError);
+  t.set_backbone_capacity(kInf);  // +infinity means no cap
+  EXPECT_FALSE(t.has_backbone_cap());
+
+  sim::Simulation sim;
+  EXPECT_THROW({ Network n(sim, star(2, mbps(100)), 0.0, kInf); }, FriedaError);
+  EXPECT_THROW({ Network n(sim, star(2, mbps(100)), 0.0, 0.0); }, FriedaError);
 }
 
 TEST(Network, SingleTransferTakesBytesOverRate) {

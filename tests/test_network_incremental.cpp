@@ -210,6 +210,76 @@ TEST(NetworkDrainSchedule, FailingTheHeapTopLeavesNoStrayEvent) {
   EXPECT_EQ(sim.event_counters().fired, 6u);
 }
 
+// The solver keeps the last BFS's component between solves (see "Kept
+// component" in src/net/network.hpp).  Each case below builds one membership
+// change with the differential check on, which compares the kept component
+// with a fresh BFS from the seed on every solve; the pinned solve counts and
+// dirty-set sizes show which component each solve covered.
+struct KeptComponentRun {
+  sim::Simulation sim;
+  Network netw{sim, star(6, mbps(100)), /*latency=*/0.0};
+  std::vector<NodeId> finished;  ///< sources, in completion order
+
+  KeptComponentRun() { netw.set_differential_check(true); }
+
+  void transfer_at(SimTime at, NodeId src, NodeId dst, Bytes bytes) {
+    sim.schedule_at(at, [this, src, dst, bytes] {
+      sim.spawn([](KeptComponentRun& run, NodeId s, NodeId d, Bytes b) -> sim::Task<> {
+        const auto r = co_await run.netw.transfer(s, d, b);
+        EXPECT_TRUE(r.ok());
+        run.finished.push_back(s);
+      }(*this, src, dst, bytes));
+    });
+  }
+};
+
+TEST(NetworkKeptComponent, DetachThatSplitsAComponent) {
+  // M = 0->1 bridges L = 0->2 (node 0's egress) and R = 3->1 (node 1's
+  // ingress).  When M drains, both of its resources keep a user: the
+  // component splits, and L's and R's later solves each cover one class.
+  KeptComponentRun run;
+  run.transfer_at(0.0, 0, 2, 10 * MB);  // L: cold registry, full solve
+  run.transfer_at(0.0, 3, 1, 12 * MB);  // R: BFS {R}
+  run.transfer_at(0.0, 0, 1, MB);       // M: neighbours outside {R}, BFS {M, L, R}
+  run.sim.run();
+  EXPECT_EQ(run.finished, (std::vector<NodeId>{0, 0, 3}));
+  // Solves: L 1, R 1, M 3, M drains {L, R} 2, L drains {L} 0, R drains {R} 0
+  // (a solve whose component empties counts nothing).
+  EXPECT_EQ(run.netw.solver_invocations(), 4u);
+  EXPECT_EQ(run.netw.solver_dirty_classes(), 7u);
+}
+
+TEST(NetworkKeptComponent, AttachThatBridgesTwoComponents) {
+  // A = 0->1 and B = 2->3 share nothing; C = 0->3 joins A's egress and B's
+  // ingress while the kept component is {B}, so its solve must reach A too.
+  KeptComponentRun run;
+  run.transfer_at(0.0, 0, 1, 10 * MB);  // A: full solve
+  run.transfer_at(0.0, 2, 3, 12 * MB);  // B: BFS {B}
+  run.transfer_at(0.1, 0, 3, MB);       // C: bridges, BFS {C, A, B}
+  run.sim.run();
+  EXPECT_EQ(run.finished, (std::vector<NodeId>{0, 0, 2}));
+  // Solves: A 1, B 1, C 3, C drains {A, B} 2, then A and B drain alone.
+  EXPECT_EQ(run.netw.solver_invocations(), 4u);
+  EXPECT_EQ(run.netw.solver_dirty_classes(), 7u);
+}
+
+TEST(NetworkKeptComponent, FreshClassWithNoNeighbours) {
+  // E = 4->1 shares only node 1's ingress with the kept component {A} and
+  // joins it without a BFS; D = 2->3 shares nothing with {A, E}: it must be
+  // solved alone, not appended.
+  KeptComponentRun run;
+  run.transfer_at(0.0, 0, 1, 10 * MB);   // A: full solve
+  run.transfer_at(0.05, 0, 1, 10 * MB);  // A again: BFS {A}
+  run.transfer_at(0.1, 4, 1, MB);        // E: joins {A}
+  run.transfer_at(0.2, 2, 3, MB);        // D: BFS {D}
+  run.sim.run();
+  EXPECT_EQ(run.finished, (std::vector<NodeId>{2, 4, 0, 0}));
+  // Solves: A 1, A 1, E 2, D 1, D drains 0, E drains {A} 1, A's two flows
+  // drain {A} 1 and 0.
+  EXPECT_EQ(run.netw.solver_invocations(), 6u);
+  EXPECT_EQ(run.netw.solver_dirty_classes(), 7u);
+}
+
 // One churn run's full observable outcome, for determinism comparison.
 struct RunFingerprint {
   Bytes total_bytes = 0;

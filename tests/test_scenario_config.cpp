@@ -157,6 +157,16 @@ TEST(ScenarioConfig, CountsBeyondTheTargetTypeAreRejectedByName) {
       "service.hysteresis");
 }
 
+TEST(ScenarioConfig, NicRatesMustBeFiniteAndPositive) {
+  // strtod accepts "inf": an infinite NIC used to reach the solver, which
+  // failed without naming the key (or, on the storage NIC, was accepted).
+  for (const std::string v : {"inf", "nan", "0", "-5"}) {
+    expect_count_rejected("[cluster]\nnic_mbps = " + v + "\n", "cluster.nic_mbps");
+    expect_count_rejected("[cluster]\nstorage_nic_mbps = " + v + "\n",
+                          "cluster.storage_nic_mbps");
+  }
+}
+
 TEST(ScenarioConfig, SharedVolumeStrategyProvisionsStorage) {
   const auto report = run_scenario_text(R"(
     [cluster]
