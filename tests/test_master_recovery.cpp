@@ -3,7 +3,10 @@
 // future work — implemented here as FriedaRun::crash_master()).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/cluster.hpp"
+#include "common/error.hpp"
 #include "frieda/partition.hpp"
 #include "frieda/run.hpp"
 #include "workload/synthetic.hpp"
@@ -106,6 +109,16 @@ TEST(MasterRecovery, CrashAfterCompletionIsNoOp) {
   s.sim->schedule_at(100000.0, [&run] { run.crash_master(10.0); });
   const auto report = run.run();
   EXPECT_TRUE(report.all_completed());
+}
+
+TEST(MasterRecovery, RecoveryDelayMustBeFinite) {
+  // A master that never comes back would park the clock at infinity.
+  auto s = make_scenario(transfer_heavy());
+  FriedaRun run(*s.cluster, s.app->catalog(), s.units, *s.app, CommandTemplate("app $inp1"),
+                RunOptions{});
+  EXPECT_THROW(run.crash_master(std::numeric_limits<double>::infinity()), FriedaError);
+  EXPECT_THROW(run.crash_master(std::numeric_limits<double>::quiet_NaN()), FriedaError);
+  EXPECT_THROW(run.crash_master(-1.0), FriedaError);
 }
 
 TEST(MasterRecovery, ZeroDelayRecoveryIsSeamless) {

@@ -167,6 +167,30 @@ TEST(ScenarioConfig, NicRatesMustBeFiniteAndPositive) {
   }
 }
 
+TEST(ScenarioConfig, SizesTimesAndSpreadsMustBeFiniteAndNonNegative) {
+  // Cast unchecked into unsigned byte counts, a negative or NaN size used to
+  // run as the default disk, or fail every unit; an infinite spread moved
+  // 74 B.  Keys whose bad value would hang the run are covered by ctest.
+  for (const std::string v : {"-1", "nan", "inf"}) {
+    expect_count_rejected("[cluster]\ndisk_gib = " + v + "\n", "cluster.disk_gib");
+    expect_count_rejected("[workload]\nfile_mb = " + v + "\n", "workload.file_mb");
+    expect_count_rejected("[workload]\nfile_cv = " + v + "\n", "workload.file_cv");
+    expect_count_rejected("[workload]\ntask_cv = " + v + "\n", "workload.task_cv");
+    expect_count_rejected("[workload]\ncommon_mb = " + v + "\n", "workload.common_mb");
+    expect_count_rejected("[workload]\noutput_kb = " + v + "\n", "workload.output_kb");
+  }
+  expect_count_rejected("[cluster]\nboot_s = -1\n", "cluster.boot_s");
+  expect_count_rejected("[events]\nfail = 1@inf\n", "events.fail");
+}
+
+TEST(ScenarioConfig, ScaleMustBeFiniteAndPositive) {
+  // A negative or NaN BLAST scale used to abort with std::length_error; an
+  // infinite ALS scale silently ran one unit.
+  expect_count_rejected("[workload]\nkind = blast\nscale = -1\n", "workload.scale");
+  expect_count_rejected("[workload]\nkind = blast\nscale = nan\n", "workload.scale");
+  expect_count_rejected("[workload]\nkind = als\nscale = inf\n", "workload.scale");
+}
+
 TEST(ScenarioConfig, SharedVolumeStrategyProvisionsStorage) {
   const auto report = run_scenario_text(R"(
     [cluster]
