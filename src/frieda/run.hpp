@@ -14,7 +14,11 @@
 //
 // All three are coroutine processes on the shared Simulation; protocol
 // messages travel through sim::Channels exactly along the arrows of
-// Figures 2–4.
+// Figures 2–4.  The implementation is split by role: run_controller.cpp
+// (control plane, master crash and recovery), run_master.cpp (dispatch, unit
+// accounting, the workers), run_staging.cpp (staging, disk accounting) and
+// run_service.cpp (arrivals, elasticity, telemetry); run.cpp constructs,
+// pre-places, instantiates templates, runs and reports.
 //
 // Lifetime: construct over an already-provisioned VirtualCluster, optionally
 // seed replicas (pre-partition-local), optionally schedule failures or
@@ -39,14 +43,12 @@
 #include "frieda/report.hpp"
 #include "frieda/template.hpp"
 #include "frieda/types.hpp"
+#include "obs/run_tap.hpp"
 #include "sim/channel.hpp"
 #include "storage/file.hpp"
 
 namespace frieda::obs {
 class MetricsRegistry;
-class TelemetryProbe;
-struct TelemetryTick;
-class Tracer;
 }  // namespace frieda::obs
 
 namespace frieda::core {
@@ -101,20 +103,13 @@ struct RunOptions {
                                       ///< across worker VMs (workflows) —
                                       ///< seed their locations with
                                       ///< seed_replica() before run()
-  obs::Tracer* tracer = nullptr;      ///< opt-in structured tracing (unit
-                                      ///< lifecycle, staging/exec, network
-                                      ///< flows, protocol events); nullptr =
-                                      ///< off, zero cost on the hot path
-  obs::MetricsRegistry* metrics = nullptr;  ///< opt-in named counters
-                                      ///< (requeues, evictions, solver
-                                      ///< invocations, ...), written once
-                                      ///< when run() returns; nullptr = off
-  obs::TelemetryProbe* telemetry = nullptr;  ///< opt-in live telemetry: the
-                                      ///< probe is ticked on its interval in
-                                      ///< simulation time from serving start
-                                      ///< to run end (queue depth, in-flight,
-                                      ///< windowed latency percentiles, ...);
-                                      ///< nullptr = off, zero cost
+  // Opt-in observers (nullptr = off, no cost on the hot path).  The run's
+  // obs::RunTap emits every lifecycle event to `tracer` and ticks
+  // `telemetry` on its interval in simulation time, from serving start to
+  // run end; `metrics` gets the run's counters once, when run() returns.
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+  obs::TelemetryProbe* telemetry = nullptr;
   std::vector<SimTime> arrivals;      ///< open-loop service mode: one offset
                                       ///< per unit (seconds after serving
                                       ///< starts, ascending); units enter the
@@ -208,7 +203,6 @@ class FriedaRun {
     unsigned slot = 0;
     std::unique_ptr<sim::Channel<MasterMessage>> inbox;
     std::deque<WorkUnitId> preassigned;
-    bool registered = false;
     bool isolated = false;
     bool draining = false;
     bool finished = false;  ///< received NoMoreWork / exited
@@ -223,7 +217,7 @@ class FriedaRun {
   sim::Task<> worker_main(WorkerId id);
   sim::Task<> arrival_pump();   ///< open-loop: inject units at their offsets
   sim::Task<> elastic_main();   ///< queue-depth-reactive scale-out/in
-  sim::Task<> telemetry_main(); ///< tick the attached probe on its interval
+  sim::Task<> telemetry_main(SimTime interval);  ///< tick the attached probe
   /// Snapshot the raw telemetry gauges at sim-now (queue depth, in-flight,
   /// live workers/VMs, cumulative completions/solves/scale events).
   obs::TelemetryTick telemetry_tick_now() const;
@@ -232,7 +226,22 @@ class FriedaRun {
   sim::Task<> stage_common_data(cluster::VmId vm);
   sim::Task<> dispatch(WorkerId worker, WorkUnitId unit);
 
+  /// What a transfer to a node is for: a unit's input (dispatch), a file
+  /// staged before the farm starts, an input streamed at execution time (not
+  /// stored), or the common data.  Decides the timeline label and the span.
+  enum class Leg { kInput, kNode, kRemoteRead, kCommon };
+  /// Replica source for staging `file` onto `vm`, whose disk already holds
+  /// the space for it; releases that space when every replica is lost.
+  std::optional<net::NodeId> reserved_source(cluster::VmId vm, storage::FileId file);
+  /// Book a transfer of `file` to `vm` that just ended: record it on the
+  /// timeline and trace it; then, for the stored legs, release the reserved
+  /// space on failure or commit the replica on success.  Returns r.ok().
+  bool landed(Leg leg, cluster::VmId vm, WorkerId worker, WorkUnitId unit,
+              storage::FileId file, const net::TransferResult& r);
+  void release_disk(cluster::VmId vm, Bytes size);
+
   // ---- master helpers ----
+  void handle(const InboxMessage& msg);
   void handle_control(const ControlMessage& msg);
   void handle_worker_msg(const WorkerMessage& msg);
   void top_up(WorkerId worker);  ///< commit assignments up to the credit limit
@@ -240,21 +249,25 @@ class FriedaRun {
   std::optional<WorkUnitId> next_unit_for(WorkerCtx& ws);
   void unit_terminal(WorkUnitId unit, UnitStatus status);
   void unit_not_completed(WorkUnitId unit);  // requeue or fail per options
+  void release_credit(const UnitRecord& rec);  ///< an in-flight unit left its worker
+  void requeue(WorkUnitId unit);  ///< back to pending, whatever the options
+  void enqueue(WorkUnitId unit);  ///< append to the shared queue, now pending
+  void release_worker(WorkerCtx& ws);  ///< NoMoreWork: the worker is done
+  bool any_worker_live() const;
   void isolate_worker(WorkerId worker);
   void drain_worker(WorkerId worker);
   void maybe_terminate_vm(cluster::VmId vm);
   void check_progress_possible();
   void finish_all();
-  // Disk-capacity accounting (Section III.A: "local disk space is very
-  // limited").  reserve_disk evicts unpinned processed inputs when allowed.
   void recover_master();
-  void force_requeue(WorkUnitId unit);  ///< back to pending, whatever the options
   /// Best replica to pull `file` from when staging to `target`: the source
   /// directory if it has it, else a same-site replica, else any replica.
   std::optional<net::NodeId> replica_source(storage::FileId file, net::NodeId target);
+  bool inputs_on(WorkUnitId unit, net::NodeId node) const;  ///< all replicated there
+  // Disk-capacity accounting (Section III.A: "local disk space is very
+  // limited").  reserve_disk evicts unpinned processed inputs when allowed.
   bool reserve_disk(cluster::VmId vm, Bytes size, bool allow_eviction);
   bool evict_one_replica(cluster::VmId vm);
-  void note_staged(cluster::VmId vm, storage::FileId file);
   void pin_unit(WorkUnitId unit, cluster::VmId vm);
   void unpin_unit(WorkUnitId unit);
   void invalidate_unstaged_preassignments();
@@ -280,18 +293,6 @@ class FriedaRun {
   /// The AssignWork message for `unit`: a copy of the template's prototype
   /// when the staging decision still matches — freshly bound otherwise.
   AssignWork make_assignment(WorkUnitId unit);
-  void note_template_patch();
-
-  // ---- observability taps (all no-ops when tracing/metrics are off) ----
-  /// Remember when `unit` (re)entered a queue, for its pending span.
-  void mark_pending(WorkUnitId unit);
-  /// Emit the pending span that ends with this dispatch.
-  void trace_dispatched(WorkUnitId unit, WorkerId worker);
-  /// Emit the unit's lifecycle span on reaching a terminal state.
-  void trace_terminal(const UnitRecord& rec);
-  /// Emit a protocol/control instant at sim-now on the run track.
-  void trace_instant(const char* name, const char* cat,
-                     std::vector<std::pair<const char*, std::string>> args = {});
 
   // ---- fixed inputs ----
   cluster::VirtualCluster& cluster_;
@@ -358,12 +359,9 @@ class FriedaRun {
 
   net::Network::Counters net_baseline_;  ///< network counters when run() began
 
-  // Observability state: tracer_ mirrors options_.tracer (hot-path guard),
-  // and the per-unit timestamps back the pending/unit lifecycle spans.
-  // options_.metrics is only written at the end of run(), from the plain
-  // counters above.
-  obs::Tracer* tracer_ = nullptr;
-  obs::TelemetryProbe* telemetry_ = nullptr;  ///< mirrors options_.telemetry
+  // The attached tracer and probe.  options_.metrics is only written at the
+  // end of run(), from the plain counters above.
+  obs::RunTap tap_;
 
   // Execution-template state: tmpl_ mirrors options_.exec_template (kept
   // alive by it), audit_ snapshots the store's differential-check mode at
@@ -377,8 +375,6 @@ class FriedaRun {
   std::uint64_t cp_instantiations_ = 0;
   std::uint64_t cp_templated_ = 0;
   std::uint64_t cp_patches_ = 0;
-  std::vector<SimTime> trace_born_;     ///< first enqueue time per unit
-  std::vector<SimTime> trace_pending_;  ///< latest (re)enqueue time per unit
 };
 
 }  // namespace frieda::core

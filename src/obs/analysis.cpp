@@ -8,9 +8,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
+#include "obs/vocab.hpp"
 
 namespace frieda::obs {
 
@@ -27,23 +29,35 @@ const TraceArg* find_arg(const TraceEvent& ev, const char* key) {
   return nullptr;
 }
 
-int unit_arg(const TraceEvent& ev) {
-  const auto* a = find_arg(ev, "unit");
+/// Parse arg `key` of `ev` into `out` (an unsigned count or a double);
+/// false, leaving `out` alone, when the event has no such arg.
+template <typename T>
+bool read_arg(const TraceEvent& ev, const char* key, T& out) {
+  const auto* a = find_arg(ev, key);
+  if (a == nullptr) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    out = std::strtod(a->value.c_str(), nullptr);
+  } else {
+    out = std::strtoull(a->value.c_str(), nullptr, 10);
+  }
+  return true;
+}
+
+/// Arg `key` of `ev` as a non-negative id (a unit or a VM), -1 when absent
+/// or not a plain decimal.
+int id_arg(const TraceEvent& ev, const char* key) {
+  const auto* a = find_arg(ev, key);
   if (a == nullptr || a->value.empty()) return -1;
   char* end = nullptr;
   const long v = std::strtol(a->value.c_str(), &end, 10);
   return (end != nullptr && *end == '\0' && v >= 0) ? static_cast<int>(v) : -1;
 }
 
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 /// Attribution bucket of a busy span (never kIdle; idle is the remainder).
 TimeCategory busy_category(const TraceEvent& ev) {
-  if (ev.cat == "exec") return TimeCategory::kCompute;
-  return starts_with(ev.name, "remote-read") ? TimeCategory::kTransfer
-                                             : TimeCategory::kStaging;
+  if (ev.cat == cat::kExec) return TimeCategory::kCompute;
+  return ev.name.starts_with(event::kRemoteRead) ? TimeCategory::kTransfer
+                                                 : TimeCategory::kStaging;
 }
 
 /// Priority for overlap resolution: lower wins.  compute > transfer >
@@ -217,6 +231,22 @@ std::string fmt(const char* format, double v) {
   return buf;
 }
 
+/// "<seconds> s in violation" (the anchor's total, else the sum over the
+/// breach spans), then one line per breach interval.
+void render_breaches(std::ostream& os, const TraceAnalysis& a) {
+  double violation = a.slo_violation_s;
+  if (!a.slo_stats) {
+    for (const auto& b : a.telemetry.breaches) violation += b.duration();
+  }
+  os << fmt("%.3f", violation) << " s in violation\n";
+  for (const auto& b : a.telemetry.breaches) {
+    char line[192];
+    std::snprintf(line, sizeof(line), "  [%10.3f .. %10.3f] %9.3f s  %s > %g (peak %g)\n",
+                  b.start, b.end, b.duration(), b.channel.c_str(), b.limit, b.peak);
+    os << line;
+  }
+}
+
 }  // namespace
 
 const char* to_string(TimeCategory c) {
@@ -268,88 +298,51 @@ TraceAnalysis TraceAnalyzer::analyze(const std::vector<TraceEvent>& events) {
     hi = std::max(hi, ev.end);
     if (ev.kind == TraceEvent::Kind::kSpan) {
       ++out.spans;
-      if (ev.cat == "unit") ++out.units;
-      if (ev.cat == "run" && !out.anchored) {
+      if (ev.cat == cat::kUnit) ++out.units;
+      if (ev.cat == cat::kRun && !out.anchored) {
         out.anchored = true;
         out.run_start = ev.start;
         out.run_end = ev.end;
-        if (const auto* s = find_arg(ev, "net_solves")) {
-          out.solver_stats = true;
-          out.net_solves = std::strtoull(s->value.c_str(), nullptr, 10);
-          if (const auto* f = find_arg(ev, "net_full_solves")) {
-            out.net_full_solves = std::strtoull(f->value.c_str(), nullptr, 10);
-          }
-          if (const auto* d = find_arg(ev, "net_dirty_classes")) {
-            out.net_dirty_classes = std::strtoull(d->value.c_str(), nullptr, 10);
-          }
-        }
-        if (const auto* ci = find_arg(ev, "cp_instantiations")) {
-          out.control_plane_stats = true;
-          out.cp_instantiations = std::strtoull(ci->value.c_str(), nullptr, 10);
-          if (const auto* ct = find_arg(ev, "cp_templated")) {
-            out.cp_templated = std::strtoull(ct->value.c_str(), nullptr, 10);
-          }
-          if (const auto* cp = find_arg(ev, "cp_patches")) {
-            out.cp_patches = std::strtoull(cp->value.c_str(), nullptr, 10);
-          }
-        }
-        if (const auto* p50 = find_arg(ev, "latency_p50")) {
-          out.latency_stats = true;
-          out.latency_p50 = std::strtod(p50->value.c_str(), nullptr);
-          if (const auto* p95 = find_arg(ev, "latency_p95")) {
-            out.latency_p95 = std::strtod(p95->value.c_str(), nullptr);
-          }
-          if (const auto* p99 = find_arg(ev, "latency_p99")) {
-            out.latency_p99 = std::strtod(p99->value.c_str(), nullptr);
-          }
-          if (const auto* tput = find_arg(ev, "sustained_tput")) {
-            out.sustained_tput = std::strtod(tput->value.c_str(), nullptr);
-          }
-        }
-        if (const auto* sb = find_arg(ev, "slo_breaches")) {
-          out.slo_stats = true;
-          out.slo_breach_count = std::strtoull(sb->value.c_str(), nullptr, 10);
-          if (const auto* sv = find_arg(ev, "slo_violation_s")) {
-            out.slo_violation_s = std::strtod(sv->value.c_str(), nullptr);
-          }
-        }
+        // The summary args come in groups; the first arg of a group marks it
+        // present (traces recorded before a group existed lack it).
+        out.solver_stats = read_arg(ev, key::kNetSolves, out.net_solves);
+        read_arg(ev, key::kNetFullSolves, out.net_full_solves);
+        read_arg(ev, key::kNetDirtyClasses, out.net_dirty_classes);
+        out.control_plane_stats = read_arg(ev, key::kCpInstantiations, out.cp_instantiations);
+        read_arg(ev, key::kCpTemplated, out.cp_templated);
+        read_arg(ev, key::kCpPatches, out.cp_patches);
+        out.latency_stats = read_arg(ev, key::kLatencyP50, out.latency_p50);
+        read_arg(ev, key::kLatencyP95, out.latency_p95);
+        read_arg(ev, key::kLatencyP99, out.latency_p99);
+        read_arg(ev, key::kSustainedTput, out.sustained_tput);
+        out.slo_stats = read_arg(ev, key::kSloBreaches, out.slo_breach_count);
+        read_arg(ev, key::kSloViolationS, out.slo_violation_s);
       }
-      if (ev.cat == "slo") {
+      if (ev.cat == cat::kSlo) {
         SloBreach breach;
         breach.start = ev.start;
         breach.end = ev.end;
-        if (const auto* ch = find_arg(ev, "channel")) breach.channel = ch->value;
-        if (const auto* lim = find_arg(ev, "limit")) {
-          breach.limit = std::strtod(lim->value.c_str(), nullptr);
-        }
-        if (const auto* peak = find_arg(ev, "peak")) {
-          breach.peak = std::strtod(peak->value.c_str(), nullptr);
-        }
+        if (const auto* ch = find_arg(ev, key::kChannel)) breach.channel = ch->value;
+        read_arg(ev, key::kLimit, breach.limit);
+        read_arg(ev, key::kPeak, breach.peak);
         out.telemetry.breaches.push_back(std::move(breach));
       }
-      if (ev.process == kWorkerTrack && (ev.cat == "exec" || ev.cat == "staging")) {
+      if (ev.process == kWorkerTrack && (ev.cat == cat::kExec || ev.cat == cat::kStaging)) {
         worker_ids.insert(ev.track);
-        if (ev.cat == "exec") {
-          if (const auto* vm = find_arg(ev, "vm")) {
-            char* end = nullptr;
-            const long v = std::strtol(vm->value.c_str(), &end, 10);
-            if (end != nullptr && *end == '\0' && v >= 0) {
-              vm_workers[static_cast<std::uint32_t>(v)].insert(ev.track);
-            }
-          }
+        if (ev.cat == cat::kExec) {
+          const int vm = id_arg(ev, key::kVm);
+          if (vm >= 0) vm_workers[static_cast<std::uint32_t>(vm)].insert(ev.track);
         }
       }
     } else if (ev.kind == TraceEvent::Kind::kCounter) {
       // TelemetryProbe counters: one channel per event, the single arg
       // carries the sampled value as a decimal that re-parses exactly.
-      if (ev.cat == "telemetry" && !ev.args.empty()) {
+      if (ev.cat == cat::kTelemetry && !ev.args.empty()) {
         out.telemetry.series.add(ev.name, ev.start,
                                  std::strtod(ev.args.front().value.c_str(), nullptr));
       }
-    } else if (ev.name == "trace-truncated") {
-      if (const auto* d = find_arg(ev, "dropped_events")) {
-        out.dropped_events = std::strtoull(d->value.c_str(), nullptr, 10);
-      }
+    } else if (ev.name == event::kTraceTruncated) {
+      read_arg(ev, key::kDroppedEvents, out.dropped_events);
     }
   }
   if (!out.anchored) {
@@ -362,11 +355,11 @@ TraceAnalysis TraceAnalyzer::analyze(const std::vector<TraceEvent>& events) {
   std::map<std::uint32_t, std::vector<BusyInterval>> busy;
   for (const auto& ev : events) {
     if (ev.kind != TraceEvent::Kind::kSpan) continue;
-    if (ev.cat != "exec" && ev.cat != "staging") continue;
+    if (ev.cat != cat::kExec && ev.cat != cat::kStaging) continue;
     const double s = std::max(ev.start, out.run_start);
     const double e = std::min(ev.end, out.run_end);
     if (e < s) continue;  // entirely outside the run window
-    cand.push_back({&ev, s, e, unit_arg(ev)});
+    cand.push_back({&ev, s, e, id_arg(ev, key::kUnit)});
     const TimeCategory cat = busy_category(ev);
     if (ev.process == kWorkerTrack) {
       busy[ev.track].push_back({s, e, cat});
@@ -441,18 +434,8 @@ std::string render_report(const TraceAnalysis& a, std::size_t max_path_rows) {
   if (a.slo_stats || !a.telemetry.breaches.empty()) {
     const std::size_t n =
         a.slo_stats ? a.slo_breach_count : a.telemetry.breaches.size();
-    double violation = a.slo_violation_s;
-    if (!a.slo_stats) {
-      for (const auto& b : a.telemetry.breaches) violation += b.duration();
-    }
-    os << "SLO: " << n << " breach interval" << (n == 1 ? "" : "s") << ", "
-       << fmt("%.3f", violation) << " s in violation\n";
-    for (const auto& b : a.telemetry.breaches) {
-      char line[192];
-      std::snprintf(line, sizeof(line), "  [%10.3f .. %10.3f] %9.3f s  %s > %g (peak %g)\n",
-                    b.start, b.end, b.duration(), b.channel.c_str(), b.limit, b.peak);
-      os << line;
-    }
+    os << "SLO: " << n << " breach interval" << (n == 1 ? "" : "s") << ", ";
+    render_breaches(os, a);
   }
 
   const double ws = a.worker_seconds();
@@ -587,19 +570,9 @@ std::string render_timeline(const TraceAnalysis& a, std::size_t width) {
   os << table.to_string();
 
   if (!view.breaches.empty() || a.slo_stats) {
-    double violation = a.slo_violation_s;
-    if (!a.slo_stats) {
-      for (const auto& b : view.breaches) violation += b.duration();
-    }
     os << "SLO breaches: " << view.breaches.size() << " interval"
-       << (view.breaches.size() == 1 ? "" : "s") << ", " << fmt("%.3f", violation)
-       << " s in violation\n";
-    for (const auto& b : view.breaches) {
-      char line[192];
-      std::snprintf(line, sizeof(line), "  [%10.3f .. %10.3f] %9.3f s  %s > %g (peak %g)\n",
-                    b.start, b.end, b.duration(), b.channel.c_str(), b.limit, b.peak);
-      os << line;
-    }
+       << (view.breaches.size() == 1 ? "" : "s") << ", ";
+    render_breaches(os, a);
   } else {
     os << "SLO breaches: none recorded\n";
   }

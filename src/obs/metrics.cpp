@@ -1,10 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <fstream>
 #include <mutex>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 
 namespace frieda::obs {
 
@@ -20,49 +20,34 @@ std::string num(double v) {
 
 }  // namespace
 
-Counter& MetricsRegistry::counter(const std::string& name) {
+template <typename T, typename... Args>
+T& MetricsRegistry::get_or_create(const std::string& name, std::unique_ptr<T> Instrument::*slot,
+                                  Args... args) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.counter) {
-    FRIEDA_CHECK(!slot.gauge && !slot.stats && !slot.histogram,
+  auto& inst = instruments_[name];
+  if (!(inst.*slot)) {
+    FRIEDA_CHECK(!inst.counter && !inst.gauge && !inst.stats && !inst.histogram,
                  "metric '" << name << "' already registered with another kind");
-    slot.counter = std::make_unique<Counter>();
+    inst.*slot = std::make_unique<T>(args...);
   }
-  return *slot.counter;
+  return *(inst.*slot);
+}
+
+Counter& MetricsRegistry::counter(const std::string& name) {
+  return get_or_create(name, &Instrument::counter);
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.gauge) {
-    FRIEDA_CHECK(!slot.counter && !slot.stats && !slot.histogram,
-                 "metric '" << name << "' already registered with another kind");
-    slot.gauge = std::make_unique<Gauge>();
-  }
-  return *slot.gauge;
+  return get_or_create(name, &Instrument::gauge);
 }
 
 RunningStats& MetricsRegistry::stats(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.stats) {
-    FRIEDA_CHECK(!slot.counter && !slot.gauge && !slot.histogram,
-                 "metric '" << name << "' already registered with another kind");
-    slot.stats = std::make_unique<RunningStats>();
-  }
-  return *slot.stats;
+  return get_or_create(name, &Instrument::stats);
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, double lo, double hi,
                                       std::size_t bins) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = instruments_[name];
-  if (!slot.histogram) {
-    FRIEDA_CHECK(!slot.counter && !slot.gauge && !slot.stats,
-                 "metric '" << name << "' already registered with another kind");
-    slot.histogram = std::make_unique<Histogram>(lo, hi, bins);
-  }
-  return *slot.histogram;
+  return get_or_create(name, &Instrument::histogram, lo, hi, bins);
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
@@ -137,10 +122,7 @@ std::string MetricsRegistry::summary() const {
 }
 
 void MetricsRegistry::write_csv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  FRIEDA_CHECK(out.good(), "cannot open metrics file '" << path << "'");
-  out << csv();
-  FRIEDA_CHECK(out.good(), "write to metrics file '" << path << "' failed");
+  write_text_file(path, csv(), "metrics");
 }
 
 }  // namespace frieda::obs

@@ -92,6 +92,9 @@ class MetricsRegistry {
     std::unique_ptr<RunningStats> stats;
     std::unique_ptr<Histogram> histogram;
   };
+  /// Create-or-get the `slot` instrument of `name`, made from `args`.
+  template <typename T, typename... Args>
+  T& get_or_create(const std::string& name, std::unique_ptr<T> Instrument::*slot, Args... args);
   mutable std::mutex mutex_;                       // guards the map, not the instruments
   std::map<std::string, Instrument> instruments_;  // ordered for stable export
 };

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "obs/trace.hpp"
+#include "obs/vocab.hpp"
 
 namespace frieda::obs {
 
@@ -22,18 +23,11 @@ std::string format_sample(double v) {
 // Timeseries
 
 void Timeseries::add(const std::string& channel, double t, double v) {
-  for (auto& ch : channels_) {
-    if (ch.name == channel) {
-      ch.t.push_back(t);
-      ch.v.push_back(v);
-      return;
-    }
-  }
-  Channel ch;
-  ch.name = channel;
-  ch.t.push_back(t);
-  ch.v.push_back(v);
-  channels_.push_back(std::move(ch));
+  auto it = std::find_if(channels_.begin(), channels_.end(),
+                         [&](const Channel& ch) { return ch.name == channel; });
+  if (it == channels_.end()) it = channels_.insert(it, Channel{channel, {}, {}});
+  it->t.push_back(t);
+  it->v.push_back(v);
 }
 
 const Timeseries::Channel* Timeseries::find(const std::string& name) const {
@@ -65,10 +59,7 @@ std::string Timeseries::csv() const {
 }
 
 void Timeseries::write_csv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  FRIEDA_CHECK(out.good(), "cannot open timeline file '" << path << "'");
-  out << csv();
-  FRIEDA_CHECK(out.good(), "write to timeline file '" << path << "' failed");
+  write_text_file(path, csv(), "timeline");
 }
 
 // ---------------------------------------------------------------------------
@@ -92,19 +83,11 @@ void LatencyWindow::evict(double now) {
 
 double LatencyWindow::percentile(double p) const {
   FRIEDA_CHECK(!buf_.empty(), "percentile of empty latency window");
-  FRIEDA_CHECK(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  // Exactly SampleSet::percentile over the window contents: sort, then
-  // numpy-style linear interpolation at rank p/100*(n-1).
-  std::vector<double> sorted;
-  sorted.reserve(buf_.size());
-  for (const auto& [t, v] : buf_) sorted.push_back(v);
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // Exactly SampleSet::percentile over the window contents (numpy-style
+  // linear interpolation at rank p/100*(n-1)).
+  SampleSet window;
+  for (const auto& [t, v] : buf_) window.add(v);
+  return window.percentile(p);
 }
 
 std::vector<double> LatencyWindow::values() const {
@@ -205,14 +188,8 @@ void TelemetryProbe::observe_latency(double now, double sojourn) {
 void TelemetryProbe::record(const std::string& channel, double t, double v) {
   series_.add(channel, t, v);
   if (tracer_ != nullptr) {
-    TraceEvent ev;
-    ev.name = channel;
-    ev.cat = "telemetry";
-    ev.process = kTelemetryTrack;
-    ev.track = 0;
-    ev.start = t;
-    ev.args.push_back({channel, format_sample(v)});
-    tracer_->counter(std::move(ev));
+    tracer_->counter({.name = channel, .cat = cat::kTelemetry, .process = kTelemetryTrack,
+                      .start = t, .args = {{channel, format_sample(v)}}});
   }
 }
 
@@ -259,17 +236,11 @@ void TelemetryProbe::finish(double end_time) {
       for (std::size_t i = 0; i < opt_.slo.size(); ++i) {
         if (opt_.slo[i].channel == breach.channel) lane = static_cast<std::uint32_t>(i);
       }
-      TraceEvent ev;
-      ev.name = "slo-breach";
-      ev.cat = "slo";
-      ev.process = kTelemetryTrack;
-      ev.track = lane;
-      ev.start = breach.start;
-      ev.end = breach.end;
-      ev.args.push_back({"channel", breach.channel});
-      ev.args.push_back({"limit", format_sample(breach.limit)});
-      ev.args.push_back({"peak", format_sample(breach.peak)});
-      tracer_->span(std::move(ev));
+      tracer_->span({.name = event::kSloBreach, .cat = cat::kSlo, .process = kTelemetryTrack,
+                     .track = lane, .start = breach.start, .end = breach.end,
+                     .args = {{key::kChannel, breach.channel},
+                              {key::kLimit, format_sample(breach.limit)},
+                              {key::kPeak, format_sample(breach.peak)}}});
     }
   }
   finished_ = true;

@@ -5,9 +5,8 @@
 // depth) rather than an after-the-fact report.
 //
 // Design rules (see docs/observability.md):
-//   * Opt-in, same null-guard pattern as Tracer/MetricsRegistry: backends
-//     hold a `TelemetryProbe*` defaulting to nullptr and every tap site is
-//     guarded, so a detached probe costs one predictable branch.
+//   * Opt-in: a run drives its probe through an obs::RunTap (run_tap.hpp),
+//     so a detached probe costs one predictable branch.
 //   * Timestamps are plain doubles in seconds: simulation time when driven
 //     by core::FriedaRun, wall time since run start for rt::RtEngine.
 //   * Thread-safe: the threaded runtime samples from a dedicated thread

@@ -68,38 +68,23 @@ std::string csv_field(const std::string& s) {
 
 }  // namespace
 
-void Tracer::span(TraceEvent ev) {
-  ev.kind = TraceEvent::Kind::kSpan;
-  if (ev.end < ev.start) ev.end = ev.start;
+void Tracer::append(TraceEvent ev, TraceEvent::Kind kind) {
+  ev.kind = kind;
+  // A span ends no earlier than it starts; instants and counters are points.
+  ev.end = kind == TraceEvent::Kind::kSpan ? std::max(ev.end, ev.start) : ev.start;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (at_cap()) {
+  if (max_events_ != 0 && events_.size() >= max_events_) {
     ++dropped_;
     return;
   }
   events_.push_back(std::move(ev));
 }
 
-void Tracer::instant(TraceEvent ev) {
-  ev.kind = TraceEvent::Kind::kInstant;
-  ev.end = ev.start;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (at_cap()) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(std::move(ev));
-}
+void Tracer::span(TraceEvent ev) { append(std::move(ev), TraceEvent::Kind::kSpan); }
 
-void Tracer::counter(TraceEvent ev) {
-  ev.kind = TraceEvent::Kind::kCounter;
-  ev.end = ev.start;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (at_cap()) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(std::move(ev));
-}
+void Tracer::instant(TraceEvent ev) { append(std::move(ev), TraceEvent::Kind::kInstant); }
+
+void Tracer::counter(TraceEvent ev) { append(std::move(ev), TraceEvent::Kind::kCounter); }
 
 void Tracer::set_max_events(std::size_t cap) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -237,17 +222,16 @@ std::string Tracer::csv() const {
 }
 
 void Tracer::write_chrome_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  FRIEDA_CHECK(out.good(), "cannot open trace file '" << path << "'");
-  out << chrome_json();
-  FRIEDA_CHECK(out.good(), "write to trace file '" << path << "' failed");
+  write_text_file(path, chrome_json(), "trace");
 }
 
-void Tracer::write_csv(const std::string& path) const {
+void Tracer::write_csv(const std::string& path) const { write_text_file(path, csv(), "trace"); }
+
+void write_text_file(const std::string& path, const std::string& text, const char* what) {
   std::ofstream out(path, std::ios::trunc);
-  FRIEDA_CHECK(out.good(), "cannot open trace file '" << path << "'");
-  out << csv();
-  FRIEDA_CHECK(out.good(), "write to trace file '" << path << "' failed");
+  FRIEDA_CHECK(out.good(), "cannot open " << what << " file '" << path << "'");
+  out << text;
+  FRIEDA_CHECK(out.good(), "write to " << what << " file '" << path << "' failed");
 }
 
 }  // namespace frieda::obs

@@ -3,9 +3,9 @@
 // trace-event JSON (chrome://tracing, Perfetto) or a flat CSV.
 //
 // Design rules (see docs/observability.md):
-//   * Opt-in.  Components hold a `Tracer*` that defaults to nullptr; every
-//     tap site is guarded by that pointer, so a disabled tracer costs one
-//     predictable branch and performs no string formatting on the hot path.
+//   * Opt-in.  A run reports to its tracer through an obs::RunTap
+//     (run_tap.hpp), whose inline pointer test makes a detached tracer cost
+//     one predictable branch and no string formatting on the hot path.
 //   * Timestamps are plain doubles in seconds: simulation time for FriedaRun
 //     traces, wall time since run start for RtEngine traces.  The exporters
 //     convert to microseconds (the trace-event unit).
@@ -41,9 +41,7 @@ struct TraceEvent {
   enum class Kind { kSpan, kInstant, kCounter };
   Kind kind = Kind::kSpan;
   std::string name;
-  std::string cat;                    ///< category: "unit", "pending",
-                                      ///< "staging", "exec", "flow",
-                                      ///< "protocol", "control"
+  std::string cat;                    ///< category (vocab.hpp, or "flow")
   std::uint32_t process = kRunTrack;  ///< track group (see TrackGroup)
   std::uint32_t track = 0;            ///< lane within the group
   double start = 0.0;                 ///< seconds
@@ -104,13 +102,18 @@ class Tracer {
   void write_csv(const std::string& path) const;
 
  private:
-  /// True (under mutex_) when the next event must be dropped.
-  bool at_cap() const { return max_events_ != 0 && events_.size() >= max_events_; }
+  /// Store `ev` as a `kind` event, or count it as dropped once the cap is
+  /// reached.
+  void append(TraceEvent ev, TraceEvent::Kind kind);
 
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   std::size_t max_events_ = kDefaultMaxEvents;
   std::uint64_t dropped_ = 0;
 };
+
+/// Replace the file at `path` with `text`; throws FriedaError naming the
+/// `what` file ("trace", "metrics", ...) when it cannot be written.
+void write_text_file(const std::string& path, const std::string& text, const char* what);
 
 }  // namespace frieda::obs

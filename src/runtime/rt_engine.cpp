@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 
 #include "common/error.hpp"
@@ -16,8 +17,7 @@
 #include "frieda/assignment.hpp"
 #include "frieda/protocol.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/run_tap.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/token_bucket.hpp"
 
@@ -119,7 +119,6 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
   }
 
   const auto t0 = Clock::now();
-  obs::Tracer* const tracer = options_.tracer;
   const std::size_t n_workers = options_.worker_count;
   const bool local = options_.strategy == core::PlacementStrategy::kPrePartitionLocal;
   const bool realtime = options_.strategy == core::PlacementStrategy::kRealTime;
@@ -138,22 +137,22 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
   report.per_worker_completed.assign(n_workers, 0);
   std::atomic<std::uint64_t> bytes_staged{0};
 
-  // ---- live telemetry (wall clock) ----
-  // The probe runs on a dedicated sampling thread; the master loop feeds the
-  // shared gauges through atomics (all updates guarded by `probe` so a
-  // detached run pays nothing).  "Latency" here is a unit's dispatch ->
-  // terminal wall time — the threaded runtime has no arrival process yet.
-  obs::TelemetryProbe* const probe = options_.telemetry;
-  std::atomic<std::size_t> tl_undispatched{units.size()};
+  // ---- observers (wall clock) ----
+  // A unit is born when it is dispatched: "latency" here is a unit's
+  // dispatch -> terminal wall time (the threaded runtime has no arrival
+  // process yet).  The probe runs on a dedicated sampling thread; the master
+  // loop feeds its gauges through relaxed atomics.
+  obs::RunTap tap(options_.tracer, options_.telemetry);
+  tap.units_born(units.size(), 0.0);
   std::atomic<std::size_t> tl_dispatched{0};
   std::atomic<std::size_t> tl_done{0};
   std::atomic<std::size_t> tl_completed{0};
   std::atomic<std::size_t> tl_released{0};
   const auto telemetry_snapshot = [&] {
     obs::TelemetryTick t;
-    t.queue_depth = static_cast<double>(tl_undispatched.load(std::memory_order_relaxed));
     const auto disp = tl_dispatched.load(std::memory_order_relaxed);
     const auto done = tl_done.load(std::memory_order_relaxed);
+    t.queue_depth = static_cast<double>(units.size() - std::min(disp, units.size()));
     t.in_flight = disp > done ? static_cast<double>(disp - done) : 0.0;
     const auto rel = std::min(n_workers, tl_released.load(std::memory_order_relaxed));
     t.active_workers = static_cast<double>(n_workers - rel);
@@ -161,20 +160,19 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     t.completed = static_cast<double>(tl_completed.load(std::memory_order_relaxed));
     return t;
   };
-  std::mutex sampler_mutex;
-  std::condition_variable sampler_cv;
-  bool sampler_stop = false;
-  std::thread sampler;
-  if (probe != nullptr) {
-    probe->begin(0.0, tracer);
-    sampler = std::thread([&] {
-      const std::chrono::duration<double> period(probe->interval());
-      std::unique_lock<std::mutex> lock(sampler_mutex);
-      while (!sampler_cv.wait_for(lock, period, [&] { return sampler_stop; })) {
-        probe->tick(seconds_since(t0), telemetry_snapshot());
+  std::jthread sampler;
+  tap.begin(0.0);
+  tap.start_sampler([&](double interval) {
+    sampler = std::jthread([&, interval](std::stop_token stop) {
+      const std::chrono::duration<double> period(interval);
+      std::mutex mutex;
+      std::condition_variable_any wake;
+      std::unique_lock<std::mutex> lock(mutex);
+      while (!wake.wait_for(lock, stop, period, [&] { return stop.stop_requested(); })) {
+        tap.tick(seconds_since(t0), telemetry_snapshot);
       }
     });
-  }
+  });
 
   // Worker staging directories.
   std::vector<fs::path> worker_dirs(n_workers);
@@ -241,29 +239,11 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
           FLOG(kWarn, "rt-worker", "unit " << work.unit.id << " failed: " << e.what());
           ok = false;
         }
-        if (tracer) {
-          const double end_s = seconds_since(t0);
-          if (transfer_seconds > 0.0) {
-            obs::TraceEvent stage;
-            stage.name = "stage unit " + std::to_string(work.unit.id);
-            stage.cat = "staging";
-            stage.process = obs::kWorkerTrack;
-            stage.track = static_cast<std::uint32_t>(w);
-            stage.start = unit_start;
-            stage.end = unit_start + transfer_seconds;
-            stage.args = {{"unit", std::to_string(work.unit.id)}};
-            tracer->span(std::move(stage));
-          }
-          obs::TraceEvent exec;
-          exec.name = "exec unit " + std::to_string(work.unit.id);
-          exec.cat = "exec";
-          exec.process = obs::kWorkerTrack;
-          exec.track = static_cast<std::uint32_t>(w);
-          exec.start = end_s - exec_seconds;
-          exec.end = end_s;
-          exec.args = {{"unit", std::to_string(work.unit.id)}, {"ok", ok ? "1" : "0"}};
-          tracer->span(std::move(exec));
+        if (transfer_seconds > 0.0) {
+          tap.stage_unit(w, work.unit.id, unit_start, unit_start + transfer_seconds);
         }
+        const double end_s = seconds_since(t0);
+        tap.exec(w, work.unit.id, end_s - exec_seconds, end_s, ok);
         master_inbox.push(core::ExecStatus{static_cast<core::WorkerId>(w), work.unit.id, ok,
                                            transfer_seconds, exec_seconds});
       }
@@ -293,8 +273,6 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     }
   }
 
-  std::vector<double> dispatched_at(tracer || probe ? units.size() : 0, 0.0);
-
   const auto dispatch = [&](std::size_t w) {
     core::WorkUnitId unit;
     if (realtime) {
@@ -306,11 +284,8 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
       unit = preassigned[w].front();
       preassigned[w].pop_front();
     }
-    if (tracer || probe) dispatched_at[unit] = seconds_since(t0);
-    if (probe) {
-      tl_undispatched.fetch_sub(1, std::memory_order_relaxed);
-      tl_dispatched.fetch_add(1, std::memory_order_relaxed);
-    }
+    tap.born(unit, seconds_since(t0));
+    tl_dispatched.fetch_add(1, std::memory_order_relaxed);
     core::AssignWork work;
     work.unit = units[unit];
     work.command = command.bind_unit(units[unit], catalog_,
@@ -326,17 +301,8 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     if (!released[w]) {
       worker_inboxes[w]->push(core::NoMoreWork{});
       released[w] = true;
-      if (probe) tl_released.fetch_add(1, std::memory_order_relaxed);
-      if (tracer) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEvent::Kind::kInstant;
-        ev.name = "release-worker";
-        ev.cat = "protocol";
-        ev.process = obs::kRunTrack;
-        ev.start = ev.end = seconds_since(t0);
-        ev.args = {{"worker", std::to_string(w)}};
-        tracer->instant(std::move(ev));
-      }
+      tl_released.fetch_add(1, std::memory_order_relaxed);
+      tap.protocol(seconds_since(t0), obs::event::kReleaseWorker, obs::key::kWorker, w);
     }
   };
 
@@ -344,16 +310,8 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     const auto msg = master_inbox.pop();
     FRIEDA_CHECK(msg.has_value(), "master inbox closed unexpectedly");
     if (const auto* reg = std::get_if<core::RegisterWorker>(&*msg)) {
-      if (tracer) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEvent::Kind::kInstant;
-        ev.name = "register-worker";
-        ev.cat = "protocol";
-        ev.process = obs::kRunTrack;
-        ev.start = ev.end = seconds_since(t0);
-        ev.args = {{"worker", std::to_string(reg->worker)}};
-        tracer->instant(std::move(ev));
-      }
+      tap.protocol(seconds_since(t0), obs::event::kRegisterWorker, obs::key::kWorker,
+                   reg->worker);
       continue;
     }
     if (const auto* req = std::get_if<core::RequestWork>(&*msg)) {
@@ -374,24 +332,11 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     } else {
       ++report.units_failed;
     }
-    if (probe) {
-      tl_done.fetch_add(1, std::memory_order_relaxed);
-      if (status.ok) tl_completed.fetch_add(1, std::memory_order_relaxed);
-      const double now = seconds_since(t0);
-      probe->observe_latency(now, now - dispatched_at[status.unit]);
-    }
-    if (tracer) {
-      obs::TraceEvent ev;
-      ev.name = "unit " + std::to_string(status.unit);
-      ev.cat = "unit";
-      ev.process = obs::kUnitTrack;
-      ev.track = static_cast<std::uint32_t>(status.unit);
-      ev.start = dispatched_at[status.unit];
-      ev.end = seconds_since(t0);
-      ev.args = {{"worker", std::to_string(status.worker)},
-                 {"ok", status.ok ? "1" : "0"}};
-      tracer->span(std::move(ev));
-    }
+    tl_done.fetch_add(1, std::memory_order_relaxed);
+    if (status.ok) tl_completed.fetch_add(1, std::memory_order_relaxed);
+    const double now = seconds_since(t0);
+    tap.latency(status.unit, now);
+    tap.terminal(status.unit, now, status.worker, status.ok);
     if (!dispatch(status.worker)) release(status.worker);
   }
   for (std::size_t w = 0; w < n_workers; ++w) release(w);
@@ -400,37 +345,12 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
   report.makespan = seconds_since(t0);
   report.bytes_staged = bytes_staged.load();
 
-  if (probe != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mutex);
-      sampler_stop = true;
-    }
-    sampler_cv.notify_all();
-    sampler.join();
-    // Final sample at the makespan, then evaluate SLO targets.
-    probe->tick(report.makespan, telemetry_snapshot());
-    probe->finish(report.makespan);
-  }
-
-  if (tracer) {
-    // Run-window anchor for trace analytics (obs::TraceAnalyzer): one span
-    // covering the reported makespan, on the same wall clock as every other
-    // span of this engine.
-    obs::TraceEvent ev;
-    ev.name = "run";
-    ev.cat = "run";
-    ev.process = obs::kRunTrack;
-    ev.track = 0;
-    ev.start = 0.0;
-    ev.end = report.makespan;
-    ev.args = {{"workers", std::to_string(n_workers)}};
-    if (probe != nullptr && !probe->options().slo.empty()) {
-      const auto& slo = probe->slo();
-      ev.args.push_back({"slo_breaches", std::to_string(slo.total_breaches())});
-      ev.args.push_back({"slo_violation_s", obs::format_sample(slo.total_violation_s())});
-    }
-    tracer->span(std::move(ev));
-  }
+  sampler = std::jthread();  // stops and joins the sampler, if any
+  // Final sample at the makespan, the SLO targets, then the run anchor on
+  // the same wall clock as every other span of this engine.
+  tap.finish(report.makespan, telemetry_snapshot);
+  tap.run(0.0, report.makespan,
+          [&](obs::RunTap::Args& a) { a.add(obs::key::kWorkers, n_workers); });
 
   if (!local && !options_.keep_staged_files) {
     std::error_code ec;
