@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "common/hash.hpp"
 #include "frieda/partition.hpp"
+#include "frieda/report_io.hpp"
 #include "frieda/run.hpp"
+#include "workload/scenarios.hpp"
 #include "workload/synthetic.hpp"
 
 namespace frieda::core {
@@ -204,6 +207,75 @@ TEST(Failure, FailureDuringStagingIsSurvivable) {
   injector.schedule(s.vms[1], 5.0);  // mid-staging
   const auto report = run.run();
   EXPECT_TRUE(report.all_completed()) << report.summary();
+}
+
+// Failures on multi-core VMs.  A failed 4-core VM interrupts several compute
+// slices at once, and the order in which Vm::fail wakes them (newest first)
+// decides the order of the requeues and re-placements that follow.  Nothing
+// else pins that order, so these tests pin the digest of the whole
+// serialized report.
+
+std::string report_digest(const RunReport& report) {
+  StableHasher h;
+  h.mix_str(serialize_run_report(report));
+  return h.digest().to_hex();
+}
+
+TEST(Failure, MultiCoreVmFailuresArePinned) {
+  // 400 BLAST sequences, pre-partition-local with requeue, 4 x c1.xlarge.
+  struct Pin {
+    SimTime fail_at;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {13.0, "41357e7d16bdc1d6d87bc40a3e55073f"},
+      {40.0, "3cb009d38d4db45282523bed48a09d48"},
+      {90.0, "c0a3a5d1fbd9df1ae9edbe3bc923aa9c"},
+      {200.0, "8f2b85042ed6db4302a1e7462aff8bf5"},
+  };
+  for (const auto& pin : pins) {
+    workload::PaperScenarioOptions opt;
+    opt.scale = 0.0534;  // 7,500 x 0.0534 -> 400 sequences
+    opt.requeue_on_failure = true;
+    unsigned interrupted = 0;
+    opt.arrange = [&](sim::Simulation& sim, cluster::VirtualCluster& cluster, FriedaRun&) {
+      sim.schedule_at(pin.fail_at, [&cluster, &interrupted] {
+        const auto victim = cluster.all_vms()[1];
+        interrupted = cluster.vm(victim).busy_cores();
+        cluster.fail_vm(victim);
+      });
+    };
+    const auto report = workload::run_blast(PlacementStrategy::kPrePartitionLocal, opt);
+    EXPECT_EQ(report.units_total, 400u);
+    EXPECT_TRUE(report.all_completed()) << report.summary();
+    EXPECT_GT(interrupted, 1u) << "t=" << pin.fail_at;
+    EXPECT_EQ(report_digest(report), pin.digest) << "t=" << pin.fail_at;
+  }
+}
+
+TEST(Failure, AlsVmFailureWithFlowsAndDiskWritesInFlightIsPinned) {
+  // ALS real-time with requeue: at t=38.721 the victim has one slice
+  // computing and an output write on its disk, while input flows run.
+  workload::PaperScenarioOptions opt;
+  opt.scale = 0.1;
+  opt.requeue_on_failure = true;
+  std::size_t flows = 0, writes = 0;
+  unsigned interrupted = 0;
+  opt.arrange = [&](sim::Simulation& sim, cluster::VirtualCluster& cluster, FriedaRun&) {
+    sim.schedule_at(38.721, [&] {
+      const auto victim = cluster.all_vms()[2];
+      flows = cluster.network().active_flows();
+      writes = cluster.vm(victim).disk().writes_in_flight();
+      interrupted = cluster.vm(victim).busy_cores();
+      cluster.fail_vm(victim);
+    });
+  };
+  const auto report = workload::run_als(PlacementStrategy::kRealTime, opt);
+  EXPECT_GT(flows, 0u);
+  EXPECT_GT(writes, 0u);
+  EXPECT_EQ(interrupted, 1u);
+  EXPECT_TRUE(report.all_completed()) << report.summary();
+  EXPECT_EQ(report_digest(report), "4a6c164d06dd554bcb451f754fda1e08");
 }
 
 TEST(Elasticity, AddVmMidRunSpeedsCompletion) {
