@@ -1,5 +1,7 @@
 #include "cluster/vm.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -43,6 +45,7 @@ Vm::Vm(sim::Simulation& sim, VmId id, net::NodeId node, InstanceType type)
       disk_(sim, type_.disk_read_bw, type_.disk_write_bw, type_.disk_capacity),
       cores_(sim, static_cast<std::int64_t>(type_.cores)) {
   FRIEDA_CHECK(type_.cores > 0, "VM needs at least one core");
+  active_slices_.reserve(type_.cores);  // one slice per core at most
 }
 
 void Vm::mark_running() {
@@ -55,14 +58,15 @@ void Vm::fail() {
   FLOG(kDebug, "cluster", "vm " << id_ << " failed");
   state_ = VmState::kFailed;
   disk_.fail();
-  auto slices = active_slices_;
-  active_slices_.clear();
-  for (const auto& slice : slices) {
-    if (slice->done) continue;
-    slice->done = true;
-    slice->ok = false;
-    if (slice->timer.pending()) sim_.cancel(slice->timer);
-    slice->signal->trigger();
+  std::vector<Slice*> slices;
+  slices.swap(active_slices_);
+  for (auto it = slices.rbegin(); it != slices.rend(); ++it) {
+    Slice& slice = **it;
+    if (slice.done) continue;
+    slice.done = true;
+    slice.ok = false;
+    if (slice.timer.pending()) sim_.cancel(slice.timer);
+    slice.signal.trigger();
   }
 }
 
@@ -85,21 +89,23 @@ sim::Task<ComputeResult> Vm::compute(SimTime seconds) {
   }
 
   ++busy_cores_;
-  auto slice = std::make_shared<Slice>();
-  slice->signal = std::make_unique<sim::Signal>(sim_);
-  slice->timer = sim_.schedule_in(seconds, [slice] {
-    slice->done = true;
-    slice->signal->trigger();
+  Slice slice(sim_);
+  Slice* const self = &slice;
+  slice.timer = sim_.schedule_in(seconds, [self] {
+    self->done = true;
+    self->signal.trigger();
   });
-  active_slices_.insert(slice);
+  active_slices_.push_back(self);
 
-  co_await slice->signal->wait();
+  co_await slice.signal.wait();
 
-  active_slices_.erase(slice);
+  // fail() empties the list before it wakes anyone: unlink only if listed.
+  const auto listed = std::find(active_slices_.begin(), active_slices_.end(), self);
+  if (listed != active_slices_.end()) active_slices_.erase(listed);
   --busy_cores_;
-  if (slice->ok) core_seconds_used_ += seconds;
+  if (slice.ok) core_seconds_used_ += seconds;
   cores_.release();
-  co_return ComputeResult{slice->ok, sim_.now() - start};
+  co_return ComputeResult{slice.ok, sim_.now() - start};
 }
 
 }  // namespace frieda::cluster

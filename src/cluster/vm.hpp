@@ -6,12 +6,18 @@
 // failure interrupts every running computation and in-flight local I/O, and
 // invalidates the VM for future work — the transient-resource hazard FRIEDA
 // is designed around.
+//
+// Slice ownership: each running computation is a Slice that lives in its
+// compute() frame, with its Signal by value; the VM lists the running slices
+// by raw pointer in start order, and the timer that ends a slice captures
+// only that pointer.  fail() interrupts the listed slices newest-first (the
+// reverse of start order): that order is defined here because the wake-ups
+// it schedules decide the order of the requeues that follow.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "common/units.hpp"
 #include "net/network.hpp"
@@ -81,8 +87,8 @@ class Vm {
   /// Mark the VM booted and ready (called by the cluster after boot_time).
   void mark_running();
 
-  /// Crash the VM: interrupt running computations and local I/O.
-  /// Network flows are aborted by the cluster, which owns the Network.
+  /// Crash the VM: interrupt running computations (newest first) and local
+  /// I/O.  Network flows are aborted by the cluster, which owns the Network.
   void fail();
 
   /// Graceful release (elastic scale-in).
@@ -100,10 +106,11 @@ class Vm {
 
  private:
   struct Slice {
+    explicit Slice(sim::Simulation& sim) : signal(sim) {}
     bool done = false;
     bool ok = true;
     sim::EventQueue::Handle timer;
-    std::unique_ptr<sim::Signal> signal;
+    sim::Signal signal;
   };
 
   sim::Simulation& sim_;
@@ -115,7 +122,7 @@ class Vm {
   sim::Semaphore cores_;
   unsigned busy_cores_ = 0;
   SimTime core_seconds_used_ = 0.0;
-  std::unordered_set<std::shared_ptr<Slice>> active_slices_;
+  std::vector<Slice*> active_slices_;  ///< running slices, in start order
 };
 
 }  // namespace frieda::cluster

@@ -8,6 +8,12 @@
 // CommandTemplate parses that syntax, validates that the $inpN placeholders
 // are dense (inp1..inpK), and binds concrete file paths when the worker
 // receives a work unit.  FRIEDA never modifies the program itself.
+//
+// Each token is classified once, at construction, as a literal or a
+// placeholder index.  Binding appends the literals and the bound paths into
+// one std::string sized up front: no stream and no intermediate path list,
+// so a binding costs one allocation (none when it fits the small-string
+// buffer).
 #pragma once
 
 #include <string>
@@ -53,8 +59,15 @@ class CommandTemplate {
   bool accepts(const WorkUnit& unit) const { return unit.inputs.size() == arity_; }
 
  private:
+  /// Join the tokens with single spaces, calling append_input(out, k) for
+  /// the token bound to input k; placeholder_bytes is the bound inputs'
+  /// total length.
+  template <typename Placeholder>
+  std::string render(std::size_t placeholder_bytes, const Placeholder& append_input) const;
+
   std::string spec_;
   std::vector<std::string> tokens_;  // split on whitespace
+  std::vector<std::size_t> slots_;   // per token: 0 = literal, N = $inpN
   std::size_t arity_ = 0;
 };
 

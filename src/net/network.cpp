@@ -199,12 +199,11 @@ sim::Task<TransferResult> Network::transfer(NodeId src, NodeId dst, Bytes bytes,
   stream_flows.reserve(streams);
   for (unsigned s = 0; s < streams; ++s) {
     const Bytes share = bytes / streams + (s < bytes % streams ? 1 : 0);
-    auto flow = std::make_shared<Flow>();
+    auto flow = std::make_shared<Flow>(sim_);
     flow->requested = share;
     flow->target = cls.work + static_cast<double>(share);
     flow->seq = next_flow_seq_++;
     flow->class_slot = slot;
-    flow->signal = std::make_unique<sim::Signal>(sim_);
     cls.heap.push_back(flow);
     std::push_heap(cls.heap.begin(), cls.heap.end(), heap_less);
     stream_flows.push_back(std::move(flow));
@@ -213,7 +212,7 @@ sim::Task<TransferResult> Network::transfer(NodeId src, NodeId dst, Bytes bytes,
   resolve(slot);
   arm_drain_event();
 
-  for (const auto& flow : stream_flows) co_await flow->signal->wait();
+  for (const auto& flow : stream_flows) co_await flow->signal.wait();
 
   result.status = TransferStatus::kCompleted;
   result.transferred = 0;
@@ -593,7 +592,7 @@ void Network::complete_flow(const FlowPtr& flow, TransferStatus status) {
   flow->done = true;
   flow->status = status;
   if (status == TransferStatus::kCompleted) flow->remaining = 0.0;
-  flow->signal->trigger();
+  flow->signal.trigger();
 }
 
 void Network::run_differential_check() {

@@ -191,6 +191,7 @@ class Network {
 
  private:
   struct Flow {
+    explicit Flow(sim::Simulation& sim) : signal(sim) {}
     Bytes requested = 0;
     double target = 0.0;     ///< class work level at which this flow drains
     double remaining = 0.0;  ///< set at terminal time (partial bytes of failures)
@@ -198,7 +199,7 @@ class Network {
     std::uint32_t class_slot = 0;
     TransferStatus status = TransferStatus::kCompleted;
     bool done = false;
-    std::unique_ptr<sim::Signal> signal;
+    sim::Signal signal;
   };
   using FlowPtr = std::shared_ptr<Flow>;
 

@@ -4,14 +4,24 @@
 
 namespace frieda::sim {
 
+namespace detail {
+
+void WaitList::wake_all(Simulation& sim) {
+  WaitNode* node = head_;
+  head_ = tail_ = nullptr;
+  while (node != nullptr) {
+    const auto h = node->handle;
+    node = node->next;
+    sim.schedule_in(0.0, [h] { h.resume(); });
+  }
+}
+
+}  // namespace detail
+
 void Signal::trigger() {
   if (triggered_) return;
   triggered_ = true;
-  std::deque<std::coroutine_handle<>> waiters;
-  waiters.swap(waiters_);
-  for (auto h : waiters) {
-    sim_.schedule_in(0.0, [h] { h.resume(); });
-  }
+  waiters_.wake_all(sim_);
 }
 
 Semaphore::Semaphore(Simulation& sim, std::int64_t permits) : sim_(sim), permits_(permits) {
@@ -36,13 +46,7 @@ void WaitGroup::add(std::int64_t n) {
 void WaitGroup::done() {
   FRIEDA_CHECK(count_ > 0, "WaitGroup::done below zero");
   --count_;
-  if (count_ == 0) {
-    std::deque<std::coroutine_handle<>> waiters;
-    waiters.swap(waiters_);
-    for (auto h : waiters) {
-      sim_.schedule_in(0.0, [h] { h.resume(); });
-    }
-  }
+  if (count_ == 0) waiters_.wake_all(sim_);
 }
 
 }  // namespace frieda::sim

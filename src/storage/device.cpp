@@ -36,16 +36,14 @@ sim::Task<IoResult> SharedService::submit(Bytes bytes) {
   }
   if (bytes == 0) co_return result;
 
-  auto op = std::make_shared<Op>();
-  op->remaining = static_cast<double>(bytes);
-  op->signal = std::make_unique<sim::Signal>(sim_);
+  Op op(sim_, static_cast<double>(bytes));
 
   advance();
-  ops_.push_back(op);
+  ops_.push_back(&op);
   reschedule();
 
-  co_await op->signal->wait();
-  result.ok = op->ok;
+  co_await op.signal.wait();
+  result.ok = op.ok;
   result.duration = sim_.now() - start;
   co_return result;
 }
@@ -55,33 +53,33 @@ void SharedService::advance() {
   const SimTime dt = now - last_advance_;
   if (dt > 0.0 && !ops_.empty()) {
     const double share = rate_ / static_cast<double>(ops_.size());
-    for (auto& op : ops_) op->remaining -= share * dt;
+    for (Op* op : ops_) op->remaining -= share * dt;
   }
   last_advance_ = now;
 }
 
 void SharedService::reschedule() {
-  std::vector<OpPtr> live;
-  live.reserve(ops_.size());
   const double prev_share =
       ops_.empty() ? rate_ : rate_ / static_cast<double>(ops_.size());
-  for (auto& op : ops_) {
+  std::size_t kept = 0;  // compact the live ops to the front, in order
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    Op* op = ops_[i];
     if (op->done) continue;
     if (op->remaining <= kEpsilonBytes || op->remaining <= prev_share * kMinTimeStep) {
       op->done = true;
-      op->signal->trigger();
+      op->signal.trigger();
       continue;
     }
-    live.push_back(op);
+    ops_[kept++] = op;
   }
-  ops_ = std::move(live);
+  ops_.resize(kept);
 
   if (completion_event_.pending()) sim_.cancel(completion_event_);
   if (ops_.empty()) return;
 
   const double share = rate_ / static_cast<double>(ops_.size());
   double soonest = std::numeric_limits<double>::infinity();
-  for (auto& op : ops_) soonest = std::min(soonest, op->remaining / share);
+  for (const Op* op : ops_) soonest = std::min(soonest, op->remaining / share);
   completion_event_ = sim_.schedule_in(std::max(soonest, kMinTimeStep), [this] {
     advance();
     reschedule();
@@ -92,11 +90,11 @@ void SharedService::fail() {
   if (failed_) return;
   failed_ = true;
   advance();
-  for (auto& op : ops_) {
+  for (Op* op : ops_) {
     if (op->done) continue;
     op->done = true;
     op->ok = false;
-    op->signal->trigger();
+    op->signal.trigger();
   }
   ops_.clear();
   if (completion_event_.pending()) sim_.cancel(completion_event_);
