@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
@@ -207,6 +209,13 @@ TEST_F(RtEngineTest, RealTimeRunStagesAndExecutes) {
   auto units = core::PartitionGenerator::generate(core::PartitionScheme::kSingleFile,
                                                   engine.catalog());
   std::atomic<int> executed{0};
+  // The first worker_count executions wait for one another.  A worker runs
+  // one unit at a time, so once they have all arrived every worker holds
+  // one: participation is guaranteed instead of depending on scheduling.
+  std::mutex barrier_mutex;
+  std::condition_variable barrier;
+  int arrived = 0;
+  bool barrier_timed_out = false;
   const auto report = engine.run(
       std::move(units), core::CommandTemplate("analyze $inp1"),
       [&](const core::WorkUnit&, const std::vector<std::string>& paths,
@@ -215,9 +224,22 @@ TEST_F(RtEngineTest, RealTimeRunStagesAndExecutes) {
         EXPECT_TRUE(fs::exists(paths[0]));                    // bytes really arrived
         EXPECT_EQ(fs::file_size(paths[0]), 64 * KiB);
         EXPECT_NE(command.find("analyze "), std::string::npos);
+        {
+          std::unique_lock lock(barrier_mutex);
+          if (arrived < static_cast<int>(opt.worker_count)) {
+            ++arrived;
+            barrier.notify_all();
+            if (!barrier.wait_for(lock, std::chrono::seconds(10), [&] {
+                  return arrived == static_cast<int>(opt.worker_count);
+                })) {
+              barrier_timed_out = true;
+            }
+          }
+        }
         ++executed;
         return true;
       });
+  EXPECT_FALSE(barrier_timed_out) << "the workers never ran concurrently";
   EXPECT_EQ(executed.load(), 12);
   EXPECT_TRUE(report.all_completed());
   EXPECT_EQ(report.units_completed, 12u);
