@@ -28,6 +28,55 @@ TEST(Signal, WakesAllWaiters) {
   EXPECT_TRUE(sig.triggered());
 }
 
+TEST(Signal, WakesWaitersOldestFirst) {
+  // Each waiter is resumed by its own zero-delay event, in the order the
+  // waiters suspended, after the triggering task's own step.
+  Simulation sim;
+  Signal sig(sim);
+  std::vector<int> order;
+  auto waiter = [&](int id, double arrive) -> Task<> {
+    co_await sim.delay(arrive);
+    co_await sig.wait();
+    order.push_back(id);
+  };
+  sim.spawn(waiter(1, 0.5));
+  sim.spawn(waiter(2, 0.1));
+  sim.spawn(waiter(3, 0.3));
+  auto trigger = [&]() -> Task<> {
+    co_await sim.delay(1.0);
+    sig.trigger();
+    order.push_back(0);
+  };
+  sim.spawn(trigger());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 1}));
+}
+
+TEST(WaitGroup, WakesEveryWaiterOldestFirstEachTimeItDrains) {
+  Simulation sim;
+  WaitGroup wg(sim);
+  std::vector<int> order;
+  auto waiter = [&](int id, double arrive) -> Task<> {
+    co_await sim.delay(arrive);
+    co_await wg.wait();
+    order.push_back(id);
+  };
+  wg.add(1);
+  sim.spawn(waiter(1, 0.2));
+  sim.spawn(waiter(2, 0.1));
+  auto drain_twice = [&]() -> Task<> {
+    co_await sim.delay(1.0);
+    wg.done();
+    wg.add(1);  // waiters that arrive from now on wait for the next drain
+    co_await sim.delay(1.0);
+    wg.done();
+  };
+  sim.spawn(drain_twice());
+  sim.spawn(waiter(3, 1.5));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+}
+
 TEST(Signal, WaitAfterTriggerIsImmediate) {
   Simulation sim;
   Signal sig(sim);
