@@ -60,8 +60,7 @@ void BM_ChannelRoundTrip(benchmark::State& state) {
     sim::Channel<int> ch(sim);
     sim.spawn([](sim::Simulation& s, sim::Channel<int>& c, int count) -> sim::Task<> {
       for (int i = 0; i < count; ++i) {
-        int v = i;
-        co_await c.send(std::move(v));
+        c.send(i);
         co_await s.delay(0.0);
       }
       c.close();

@@ -79,10 +79,10 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
   // workers are reported to the controller, which initiates remediation).
   failure_token_ = cluster_.on_failure([this](cluster::VmId vm) {
     replicas_.drop_node(cluster_.vm(vm).node());  // transient storage is gone
-    events_->try_send(EvVmFailed{vm});
+    events_->send(EvVmFailed{vm});
   });
   running_token_ =
-      cluster_.on_running([this](cluster::VmId vm) { events_->try_send(EvVmRunning{vm}); });
+      cluster_.on_running([this](cluster::VmId vm) { events_->send(EvVmRunning{vm}); });
 
   tap_.units_born(units_.size(), 0.0);
 

@@ -27,12 +27,10 @@ sim::Task<> FriedaRun::controller_main() {
   // Fig. 4: the controller starts the master and initializes it with the
   // partition strategy, keeping an open channel for runtime reconfiguration.
   co_await sim_.delay(options_.control_latency);
-  // Messages are built into named locals before sending: see the note on
-  // Channel::send about GCC 12 and co_await argument temporaries.
   InboxMessage start = StartMaster{options_.strategy, options_.assignment};
-  co_await inbox_->send(std::move(start));
+  inbox_->send(std::move(start));
   InboxMessage partition_info = SetPartitionInfo{units_};
-  co_await inbox_->send(std::move(partition_info));
+  inbox_->send(std::move(partition_info));
 
   co_await cluster_.wait_all_running(initial_vms_);
   ready_time_ = sim_.now();
@@ -42,7 +40,7 @@ sim::Task<> FriedaRun::controller_main() {
     if (cluster_.vm(vm).running()) fork_workers_on(vm, ids);
   }
   InboxMessage fork = ForkWorkers{ids};
-  co_await inbox_->send(std::move(fork));
+  inbox_->send(std::move(fork));
   FLOG(kDebug, "controller", "forked " << ids.size() << " workers at t=" << sim_.now());
 
   const std::set<cluster::VmId> initial_set(initial_vms_.begin(), initial_vms_.end());
@@ -54,7 +52,7 @@ sim::Task<> FriedaRun::controller_main() {
       for (const auto& ws : workers_) {
         if (ws->vm == failed->vm && !ws->isolated) {
           InboxMessage isolate = IsolateWorker{ws->id};
-          co_await inbox_->send(std::move(isolate));
+          inbox_->send(std::move(isolate));
         }
       }
     } else if (const auto* running = std::get_if<EvVmRunning>(&*ev)) {
@@ -63,7 +61,7 @@ sim::Task<> FriedaRun::controller_main() {
       fork_workers_on(running->vm, added);
       co_await sim_.delay(options_.control_latency);
       InboxMessage add = AddWorkers{added};
-      co_await inbox_->send(std::move(add));
+      inbox_->send(std::move(add));
       FLOG(kDebug, "controller", "elastic add: vm " << running->vm << " joined with "
                                                     << added.size() << " workers");
     } else if (const auto* remove = std::get_if<EvRemoveVm>(&*ev)) {
@@ -71,7 +69,7 @@ sim::Task<> FriedaRun::controller_main() {
       for (const auto& ws : workers_) {
         if (ws->vm == remove->vm && worker_live(*ws)) {
           InboxMessage drain = DrainWorker{ws->id};
-          co_await inbox_->send(std::move(drain));
+          inbox_->send(std::move(drain));
         }
       }
     }
@@ -82,7 +80,7 @@ cluster::VmId FriedaRun::add_vm(const cluster::InstanceType& type) {
   return cluster_.provision(type);  // EvVmRunning arrives once booted
 }
 
-void FriedaRun::remove_vm(cluster::VmId vm) { events_->try_send(EvRemoveVm{vm}); }
+void FriedaRun::remove_vm(cluster::VmId vm) { events_->send(EvRemoveVm{vm}); }
 
 void FriedaRun::crash_master(SimTime recovery_delay) {
   FRIEDA_CHECK(std::isfinite(recovery_delay) && recovery_delay >= 0.0,

@@ -266,7 +266,7 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   AssignWork work = make_assignment(unit);
   handed_[unit] = 1;  // from here on the assignment survives a master crash
   MasterMessage assignment = std::move(work);
-  const bool sent = co_await ws.inbox->send(std::move(assignment));
+  const bool sent = ws.inbox->send(std::move(assignment));
   if (!sent && rec.status == UnitStatus::kInFlight && rec.worker == worker) {
     unit_not_completed(unit);
     if (!finished_) top_up(worker);
@@ -344,7 +344,7 @@ bool FriedaRun::any_worker_live() const {
 }
 
 void FriedaRun::release_worker(WorkerCtx& ws) {
-  ws.inbox->try_send(NoMoreWork{});
+  ws.inbox->send(NoMoreWork{});
   ws.finished = true;
   maybe_terminate_vm(ws.vm);
   check_progress_possible();
@@ -439,7 +439,7 @@ void FriedaRun::finish_all() {
   end_time_ = sim_.now();
   for (auto& ws : workers_) {
     if (!ws->finished && !ws->isolated) {
-      ws->inbox->try_send(NoMoreWork{});
+      ws->inbox->send(NoMoreWork{});
       ws->finished = true;
     }
     ws->inbox->close();
@@ -459,11 +459,11 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
   if (!vm.running()) co_return;  // failed during boot
 
   InboxMessage reg = RegisterWorker{id};
-  co_await inbox_->send(std::move(reg));
+  inbox_->send(std::move(reg));
   // Announce readiness once (Fig. 4 "request data"); afterwards the master's
   // credit accounting keeps this worker fed until NoMoreWork.
   InboxMessage request = RequestWork{id};
-  if (!co_await inbox_->send(std::move(request))) co_return;
+  if (!inbox_->send(std::move(request))) co_return;
   while (true) {
     if (!vm.running()) co_return;
     const auto msg = co_await ws.inbox->recv();
@@ -492,7 +492,7 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
       if (!read_ok) {
         if (!vm.running()) co_return;  // our VM died mid-read
         InboxMessage fail = ExecStatus{id, work.unit.id, false, transfer_s, 0.0};
-        if (!co_await inbox_->send(std::move(fail))) co_return;
+        if (!inbox_->send(std::move(fail))) co_return;
         continue;
       }
     }
@@ -518,7 +518,7 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
       }
     }
     InboxMessage status = ExecStatus{id, work.unit.id, io_ok, transfer_s, result.duration};
-    if (!co_await inbox_->send(std::move(status))) {
+    if (!inbox_->send(std::move(status))) {
       co_return;
     }
   }

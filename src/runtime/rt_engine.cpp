@@ -306,12 +306,17 @@ RtReport RtEngine::run(std::vector<core::WorkUnit> units, const core::CommandTem
     }
   };
 
-  while (terminal < units.size()) {
+  // Every worker registers first thing, so the loop also waits for the
+  // registrations that arrive after the last unit ended: each one reaches
+  // the trace, however late its thread started.
+  std::size_t registered = 0;
+  while (terminal < units.size() || registered < n_workers) {
     const auto msg = master_inbox.pop();
     FRIEDA_CHECK(msg.has_value(), "master inbox closed unexpectedly");
     if (const auto* reg = std::get_if<core::RegisterWorker>(&*msg)) {
       tap.protocol(seconds_since(t0), obs::event::kRegisterWorker, obs::key::kWorker,
                    reg->worker);
+      ++registered;
       continue;
     }
     if (const auto* req = std::get_if<core::RequestWork>(&*msg)) {

@@ -1,239 +1,82 @@
-// Awaitable message channel for coroutine processes.
+// Unbounded message channel for coroutine processes.
 //
 // Channel<T> models the communication links of Figures 2–4 in the paper:
 // controller→master configuration, worker→master data requests, and
-// master→worker work dispatch.  Semantics follow Go channels with close:
+// master→worker work dispatch.  Semantics follow Go channels with close,
+// without a capacity:
 //
-//   * send() suspends while the buffer is full (bounded channels);
+//   * send() never blocks: it hands the value to the oldest blocked
+//     receiver or buffers it, and returns false once the channel is closed;
 //   * recv() suspends while the buffer is empty and the channel is open;
-//   * close() wakes every blocked receiver with nullopt and every blocked
-//     sender with false; buffered items already sent are still delivered;
-//   * recv_until(deadline) additionally resumes with nullopt at `deadline`
-//     if nothing arrived — used for failure-detection timeouts.
+//   * close() wakes every blocked receiver with nullopt; items already
+//     buffered are still delivered.
 //
-// Delivery wake-ups go through the event queue for deterministic FIFO order.
+// Blocked receivers wait on the intrusive list of sim/sync.hpp, under its
+// lifetime rule; each wake-up is its own event, oldest receiver first.
 #pragma once
 
 #include <coroutine>
 #include <deque>
-#include <limits>
-#include <memory>
 #include <optional>
 
-#include "common/error.hpp"
 #include "sim/simulation.hpp"
+#include "sim/sync.hpp"
 
 namespace frieda::sim {
 
-/// Buffered, awaitable, closable SPSC/MPMC channel (any number of tasks may
+/// Unbounded, awaitable, closable MPMC channel (any number of tasks may
 /// send or receive; ordering among same-time operations is FIFO).
 template <typename T>
 class Channel {
  public:
-  /// Construct with a buffer capacity (default: effectively unbounded).
-  explicit Channel(Simulation& sim,
-                   std::size_t capacity = std::numeric_limits<std::size_t>::max())
-      : sim_(sim), capacity_(capacity) {
-    FRIEDA_CHECK(capacity_ > 0, "channel capacity must be > 0");
-  }
+  explicit Channel(Simulation& sim) : sim_(sim) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Number of buffered items.
-  std::size_t size() const { return buffer_.size(); }
-
-  /// True once close() has been called.
-  bool closed() const { return closed_; }
-
-  /// Non-blocking send; returns false when the channel is closed or full.
-  bool try_send(T value) {
+  /// Deliver `value` to the oldest blocked receiver, or buffer it.  Returns
+  /// false, dropping the value, once the channel is closed.
+  bool send(T value) {
     if (closed_) return false;
-    if (deliver_to_waiting_receiver(value)) return true;
-    if (buffer_.size() < capacity_) {
+    if (auto* receiver = static_cast<RecvAwaiter*>(receivers_.pop())) {
+      receiver->value = std::move(value);
+      receiver->wake(sim_);
+    } else {
       buffer_.push_back(std::move(value));
-      return true;
     }
-    return false;
-  }
-
-  /// Awaitable send.  Resumes with true once the value was delivered or
-  /// buffered, false if the channel closed first.
-  ///
-  /// NOTE: construct the message into a *named* local and pass it with
-  /// std::move().  GCC 12 miscompiles non-trivial conversion temporaries
-  /// materialized as call arguments inside co_await expressions (the
-  /// temporary's payload is double-destroyed), so this API deliberately
-  /// takes an rvalue reference instead of a by-value parameter.
-  auto send(T&& value) {
-    struct Awaiter {
-      Channel& ch;
-      T value;
-      std::shared_ptr<typename Channel::SendNode> node;
-      bool immediate_ok = false;
-
-      bool await_ready() {
-        if (ch.closed_) return true;  // immediate_ok stays false
-        if (ch.deliver_to_waiting_receiver(value)) {
-          immediate_ok = true;
-          return true;
-        }
-        if (ch.buffer_.size() < ch.capacity_) {
-          ch.buffer_.push_back(std::move(value));
-          immediate_ok = true;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        node = std::make_shared<typename Channel::SendNode>();
-        node->handle = h;
-        node->value = std::move(value);
-        ch.send_waiters_.push_back(node);
-      }
-      bool await_resume() {
-        if (node) return node->accepted;
-        return immediate_ok;
-      }
-    };
-    return Awaiter{*this, std::move(value), nullptr};
+    return true;
   }
 
   /// Awaitable receive; resumes with a value, or nullopt once the channel is
   /// closed and drained.
-  auto recv() { return RecvAwaiter{*this, std::nullopt, std::nullopt, nullptr}; }
+  auto recv() { return RecvAwaiter{*this}; }
 
-  /// Awaitable receive with an absolute-time deadline; resumes with nullopt
-  /// at `deadline` if nothing was delivered by then (channel stays usable).
-  auto recv_until(SimTime deadline) {
-    return RecvAwaiter{*this, deadline, std::nullopt, nullptr};
-  }
-
-  /// Close the channel: wakes blocked receivers (nullopt after drain) and
-  /// blocked senders (false).  Idempotent.
+  /// Close the channel, waking every blocked receiver with nullopt.
+  /// Idempotent.
   void close() {
-    if (closed_) return;
     closed_ = true;
-    for (auto& node : recv_waiters_) {
-      if (node->fired) continue;
-      node->fired = true;
-      cancel_timer(*node);
-      auto h = node->handle;
-      sim_.schedule_in(0.0, [h] { h.resume(); });
-    }
-    recv_waiters_.clear();
-    for (auto& node : send_waiters_) {
-      if (node->fired) continue;
-      node->fired = true;
-      node->accepted = false;
-      auto h = node->handle;
-      sim_.schedule_in(0.0, [h] { h.resume(); });
-    }
-    send_waiters_.clear();
+    receivers_.wake_all(sim_);
   }
 
  private:
-  struct RecvNode {
-    std::coroutine_handle<> handle;
-    std::optional<T> slot;
-    bool fired = false;
-    EventQueue::Handle timer;
-  };
-  struct SendNode {
-    std::coroutine_handle<> handle;
-    std::optional<T> value;
-    bool fired = false;
-    bool accepted = false;
-  };
-
-  struct RecvAwaiter {
+  struct RecvAwaiter : detail::WaitNode {
+    explicit RecvAwaiter(Channel& channel) : ch(channel) {}
     Channel& ch;
-    std::optional<SimTime> deadline;
-    std::optional<T> result;
-    std::shared_ptr<RecvNode> node;
+    std::optional<T> value;
 
     bool await_ready() {
-      if (!ch.buffer_.empty()) {
-        result = std::move(ch.buffer_.front());
-        ch.buffer_.pop_front();
-        ch.admit_waiting_sender();
-        return true;
-      }
-      if (ch.closed_) return true;  // -> nullopt
-      if (deadline && *deadline <= ch.sim_.now()) return true;  // immediate timeout
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      node = std::make_shared<RecvNode>();
-      node->handle = h;
-      if (deadline) {
-        auto weak = std::weak_ptr<RecvNode>(node);
-        Channel* chp = &ch;
-        node->timer = ch.sim_.schedule_at(*deadline, [weak, chp] {
-          if (auto n = weak.lock(); n && !n->fired) {
-            n->fired = true;
-            chp->drop_recv_waiter(n.get());
-            auto h = n->handle;
-            h.resume();
-          }
-        });
-      }
-      ch.recv_waiters_.push_back(node);
-    }
-    std::optional<T> await_resume() {
-      if (node) return std::move(node->slot);
-      return std::move(result);
-    }
-  };
-
-  void cancel_timer(RecvNode& node) {
-    if (node.timer.pending()) sim_.cancel(node.timer);
-  }
-
-  void drop_recv_waiter(const RecvNode* node) {
-    for (auto it = recv_waiters_.begin(); it != recv_waiters_.end(); ++it) {
-      if (it->get() == node) {
-        recv_waiters_.erase(it);
-        return;
-      }
-    }
-  }
-
-  /// Try to hand `value` directly to the oldest live waiting receiver.
-  bool deliver_to_waiting_receiver(T& value) {
-    while (!recv_waiters_.empty()) {
-      auto node = recv_waiters_.front();
-      recv_waiters_.pop_front();
-      if (node->fired) continue;
-      node->fired = true;
-      cancel_timer(*node);
-      node->slot = std::move(value);
-      auto h = node->handle;
-      sim_.schedule_in(0.0, [h] { h.resume(); });
+      if (ch.buffer_.empty()) return ch.closed_;
+      value = std::move(ch.buffer_.front());
+      ch.buffer_.pop_front();
       return true;
     }
-    return false;
-  }
-
-  /// After a buffered item was consumed, move a blocked sender's value in.
-  void admit_waiting_sender() {
-    while (!send_waiters_.empty() && buffer_.size() < capacity_) {
-      auto node = send_waiters_.front();
-      send_waiters_.pop_front();
-      if (node->fired) continue;
-      node->fired = true;
-      node->accepted = true;
-      buffer_.push_back(std::move(*node->value));
-      auto h = node->handle;
-      sim_.schedule_in(0.0, [h] { h.resume(); });
-    }
-  }
+    void await_suspend(std::coroutine_handle<> h) noexcept { ch.receivers_.push(*this, h); }
+    std::optional<T> await_resume() { return std::move(value); }
+  };
 
   Simulation& sim_;
-  std::size_t capacity_;
   bool closed_ = false;
   std::deque<T> buffer_;
-  std::deque<std::shared_ptr<RecvNode>> recv_waiters_;
-  std::deque<std::shared_ptr<SendNode>> send_waiters_;
+  detail::WaitList receivers_;
 };
 
 }  // namespace frieda::sim

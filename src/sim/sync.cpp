@@ -4,20 +4,6 @@
 
 namespace frieda::sim {
 
-namespace detail {
-
-void WaitList::wake_all(Simulation& sim) {
-  WaitNode* node = head_;
-  head_ = tail_ = nullptr;
-  while (node != nullptr) {
-    const auto h = node->handle;
-    node = node->next;
-    sim.schedule_in(0.0, [h] { h.resume(); });
-  }
-}
-
-}  // namespace detail
-
 void Signal::trigger() {
   if (triggered_) return;
   triggered_ = true;
@@ -29,10 +15,8 @@ Semaphore::Semaphore(Simulation& sim, std::int64_t permits) : sim_(sim), permits
 }
 
 void Semaphore::release() {
-  if (!waiters_.empty()) {
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    sim_.schedule_in(0.0, [h] { h.resume(); });
+  if (detail::WaitNode* node = waiters_.pop()) {
+    node->wake(sim_);
   } else {
     ++permits_;
   }

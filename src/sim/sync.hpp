@@ -7,20 +7,19 @@
 // Lifetime rule: primitives must outlive every task suspended on them.  In
 // practice they live in scenario objects that outlive Simulation::run().
 //
-// Waiter storage: Signal and WaitGroup keep their suspended waiters in an
-// intrusive FIFO (detail::WaitList) whose nodes are the awaiters themselves,
-// which live in the waiting coroutine's frame for as long as it is
-// suspended.  Constructing, waiting on and triggering them allocates
-// nothing.  Wake order is FIFO: every waiter is resumed by its own
-// schedule_in(0.0, ...) event, oldest first.  Neither destructor walks the
-// list.  A Simulation destroys the frames still suspended when it goes
-// away, nodes included; nothing may trigger a primitive after that, since
-// its wake-ups would go to that Simulation.
+// Waiter storage: every primitive in src/sim (Signal, Semaphore, WaitGroup
+// and Channel) keeps its suspended waiters in an intrusive FIFO
+// (detail::WaitList) whose nodes are the awaiters themselves, which live in
+// the waiting coroutine's frame for as long as it is suspended.  Waiting and
+// waking allocate nothing.  Wake order is FIFO: every waiter is resumed by
+// its own schedule_in(0.0, ...) event, oldest first.  No destructor walks
+// the list.  A Simulation destroys the frames still suspended when it goes
+// away, nodes included; nothing may trigger, release, send to or close a
+// primitive after that, since its wake-ups would go to that Simulation.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "sim/simulation.hpp"
 
@@ -34,6 +33,12 @@ struct WaitNode {
   WaitNode() = default;
   WaitNode(const WaitNode&) = delete;
   WaitNode& operator=(const WaitNode&) = delete;
+
+  /// Schedule this waiter's resumption as its own event.
+  void wake(Simulation& sim) const {
+    const auto h = handle;
+    sim.schedule_in(0.0, [h] { h.resume(); });
+  }
 
   std::coroutine_handle<> handle;
   WaitNode* next = nullptr;
@@ -54,8 +59,20 @@ class WaitList {
     tail_ = &node;
   }
 
+  /// Unlink and return the oldest waiter, or nullptr when the list is empty.
+  WaitNode* pop() {
+    WaitNode* node = head_;
+    if (node != nullptr) {
+      head_ = node->next;
+      if (head_ == nullptr) tail_ = nullptr;
+    }
+    return node;
+  }
+
   /// Empty the list, scheduling each waiter's resumption oldest first.
-  void wake_all(Simulation& sim);
+  void wake_all(Simulation& sim) {
+    while (WaitNode* node = pop()) node->wake(sim);
+  }
 
  private:
   WaitNode* head_ = nullptr;
@@ -109,12 +126,10 @@ class Semaphore {
   /// Currently available permits.
   std::int64_t available() const { return permits_; }
 
-  /// Number of tasks blocked in acquire().
-  std::size_t waiting() const { return waiters_.size(); }
-
   /// Awaitable; resumes once a permit has been granted to this task.
   auto acquire() {
-    struct Awaiter {
+    struct Awaiter : detail::WaitNode {
+      explicit Awaiter(Semaphore& semaphore) : s(semaphore) {}
       Semaphore& s;
       bool await_ready() const noexcept {
         if (s.permits_ > 0) {
@@ -123,7 +138,7 @@ class Semaphore {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { s.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) noexcept { s.waiters_.push(*this, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -135,7 +150,7 @@ class Semaphore {
  private:
   Simulation& sim_;
   std::int64_t permits_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Completion counter: add(n) registers pending work, done() retires one

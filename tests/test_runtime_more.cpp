@@ -10,6 +10,8 @@
 
 #include "common/error.hpp"
 #include "frieda/partition.hpp"
+#include "obs/trace.hpp"
+#include "obs/vocab.hpp"
 #include "runtime/rt_engine.hpp"
 
 namespace frieda::rt {
@@ -100,6 +102,33 @@ TEST_F(RtMoreTest, ManyWorkersStress) {
       });
   EXPECT_TRUE(report.all_completed());
   EXPECT_GT(peak.load(), 1);  // genuine parallel execution
+}
+
+TEST_F(RtMoreTest, EveryWorkerRegistersWhenWorkersOutnumberUnits) {
+  // One unit for four workers: the unit can end before the other threads
+  // have pushed their RegisterWorker, which must still reach the trace.
+  RtOptions opt;
+  opt.strategy = core::PlacementStrategy::kPrePartitionLocal;
+  opt.worker_count = 4;
+  for (int run = 0; run < 50; ++run) {
+    obs::Tracer tracer;
+    opt.tracer = &tracer;
+    RtEngine engine(source_, opt);
+    auto units = core::PartitionGenerator::generate(core::PartitionScheme::kSingleFile,
+                                                    engine.catalog());
+    units.resize(1);
+    const auto report = engine.run(
+        std::move(units), core::CommandTemplate("app $inp1"),
+        [](const core::WorkUnit&, const std::vector<std::string>&, const std::string&) {
+          return true;
+        });
+    ASSERT_TRUE(report.all_completed());
+    std::set<std::string> registered;
+    for (const auto& e : tracer.events()) {
+      if (e.name == obs::event::kRegisterWorker) registered.insert(e.args.at(0).value);
+    }
+    ASSERT_EQ(registered.size(), opt.worker_count) << "run " << run;
+  }
 }
 
 TEST_F(RtMoreTest, RunValidation) {

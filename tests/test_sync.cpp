@@ -136,19 +136,6 @@ TEST(Semaphore, NegativePermitsThrow) {
   EXPECT_THROW(Semaphore(sim, -1), FriedaError);
 }
 
-TEST(Semaphore, WaitingCount) {
-  Simulation sim;
-  Semaphore sem(sim, 0);
-  sim.spawn([](Semaphore& s) -> Task<> { co_await s.acquire(); }(sem));
-  sim.spawn([](Semaphore& s) -> Task<> { co_await s.acquire(); }(sem));
-  sim.run_until(0.5);
-  EXPECT_EQ(sem.waiting(), 2u);
-  sem.release();
-  sem.release();
-  sim.run();
-  EXPECT_EQ(sem.waiting(), 0u);
-}
-
 TEST(WaitGroup, WaitsForAll) {
   Simulation sim;
   WaitGroup wg(sim);
