@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "sim/sync.hpp"
 
 namespace frieda::sim {
 namespace {
@@ -186,6 +187,63 @@ TEST(Simulation, DeterministicEventCountAcrossRuns) {
 TEST(Simulation, SpawnEmptyTaskThrows) {
   Simulation sim;
   EXPECT_THROW(sim.spawn(Task<>{}), FriedaError);
+}
+
+// Counts its own destruction; a local of a root frame shows when (and how
+// often) that frame is destroyed.
+struct FrameGuard {
+  int& destroyed;
+  ~FrameGuard() { ++destroyed; }
+};
+
+Task<> blocked_forever(Signal& never, int& destroyed) {
+  FrameGuard guard{destroyed};
+  co_await never.wait();
+}
+
+TEST(Simulation, BlockedRootIsDestroyedOnceAtTeardown) {
+  int destroyed = 0;
+  {
+    Simulation sim;
+    Signal never(sim);
+    sim.spawn(blocked_forever(never, destroyed), "blocked");
+    sim.run();
+    EXPECT_EQ(sim.live_processes(), 1u);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Simulation, ThrowingRootStopsRunAndSparesOtherRoots) {
+  int destroyed = 0;
+  bool later_event_fired = false;
+  {
+    Simulation sim;
+    Signal never(sim);
+    sim.spawn(blocked_forever(never, destroyed), "blocked");
+    sim.spawn(thrower(sim), "thrower");
+    sim.schedule_at(2.0, [&] { later_event_fired = true; });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+    EXPECT_FALSE(later_event_fired);
+    EXPECT_EQ(sim.live_processes(), 1u);  // the thrower is gone, the other waits
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Simulation, LiveProcessesCountDownAsRootsFinish) {
+  Simulation sim;
+  std::vector<double> ticks;
+  for (int n = 1; n <= 3; ++n) sim.spawn(count_down(sim, n, ticks));
+  EXPECT_EQ(sim.live_processes(), 3u);
+  sim.run_until(1.5);
+  EXPECT_EQ(sim.live_processes(), 2u);
+  sim.run_until(2.5);
+  EXPECT_EQ(sim.live_processes(), 1u);
+  sim.run();
+  EXPECT_EQ(sim.live_processes(), 0u);
+  EXPECT_EQ(ticks.size(), 6u);
 }
 
 TEST(Simulation, DelayZeroYields) {
