@@ -20,6 +20,8 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
       command_(std::move(command)),
       options_(std::move(options)),
       initial_vms_(cluster.all_vms()),
+      inbox_(sim_),
+      events_(sim_),
       tap_(options_.tracer, options_.telemetry) {
   FRIEDA_CHECK(!units_.empty(), "run needs at least one work unit");
   FRIEDA_CHECK(!initial_vms_.empty(), "run needs at least one provisioned VM");
@@ -56,10 +58,7 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
     FRIEDA_CHECK(ep.hysteresis >= 1, "elastic policy: hysteresis must be >= 1");
   }
 
-  handed_.assign(units_.size(), 0);
-  inbox_ = std::make_unique<sim::Channel<InboxMessage>>(sim_);
-  events_ = std::make_unique<sim::Channel<ControllerEvent>>(sim_);
-  master_done_ = std::make_unique<sim::Signal>(sim_);
+  unit_hold_.resize(units_.size());
 
   // The catalog's files live in the source node's input directory unless
   // the caller says otherwise (workflow stages seed replicas instead).
@@ -79,10 +78,10 @@ FriedaRun::FriedaRun(cluster::VirtualCluster& cluster, const storage::FileCatalo
   // workers are reported to the controller, which initiates remediation).
   failure_token_ = cluster_.on_failure([this](cluster::VmId vm) {
     replicas_.drop_node(cluster_.vm(vm).node());  // transient storage is gone
-    events_->send(EvVmFailed{vm});
+    events_.send(EvVmFailed{vm});
   });
   running_token_ =
-      cluster_.on_running([this](cluster::VmId vm) { events_->send(EvVmRunning{vm}); });
+      cluster_.on_running([this](cluster::VmId vm) { events_.send(EvVmRunning{vm}); });
 
   tap_.units_born(units_.size(), 0.0);
 

@@ -30,8 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -198,10 +196,11 @@ class FriedaRun {
   using InboxMessage = std::variant<ControlMessage, WorkerMessage>;
 
   struct WorkerCtx {
+    explicit WorkerCtx(sim::Simulation& sim) : inbox(sim) {}
     WorkerId id = 0;
     cluster::VmId vm = 0;
     unsigned slot = 0;
-    std::unique_ptr<sim::Channel<MasterMessage>> inbox;
+    sim::Channel<MasterMessage> inbox;
     std::deque<WorkUnitId> preassigned;
     bool isolated = false;
     bool draining = false;
@@ -209,6 +208,30 @@ class FriedaRun {
     std::size_t unacked = 0;  ///< committed assignments awaiting ExecStatus
     std::size_t completed = 0;
     SimTime busy_seconds = 0.0;
+  };
+
+  /// The master's state for one VM, indexed by VmId.  Dispatches wait on
+  /// `ready`, so a record never moves once made (vm_state grows a deque).
+  struct VmState {
+    explicit VmState(sim::Simulation& sim) : ready(sim) {}
+    sim::Signal ready;          ///< the common data is staged (or given up on)
+    bool ready_used = false;    ///< `ready` was waited on or triggered
+    bool invalid = false;       ///< the common data could not be staged
+    int staging_active = 0;     ///< input transfers in flight to the VM
+    /// Staged files in arrival order: the eviction candidates, oldest first.
+    std::deque<storage::FileId> staged_order;
+    /// Inputs of the in-flight units pinned here, one entry per pin.  At most
+    /// cores x (1 + prefetch) units are in flight on a VM, so a list beats a
+    /// counting map.
+    std::vector<storage::FileId> pinned;
+  };
+
+  /// The master's state for one work unit, indexed by WorkUnitId.
+  struct UnitHold {
+    cluster::VmId pin_vm = 0;  ///< where its inputs are pinned, when `pinned`
+    bool pinned = false;
+    bool handed = false;  ///< its assignment reached the worker (survives a
+                          ///< master crash)
   };
 
   // ---- roles ----
@@ -280,7 +303,8 @@ class FriedaRun {
     return options_.strategy == PlacementStrategy::kRemoteRead ||
            options_.strategy == PlacementStrategy::kSharedVolume;
   }
-  sim::Signal& node_ready(cluster::VmId vm);
+  VmState& vm_state(cluster::VmId vm);
+  sim::Signal& node_ready(cluster::VmId vm);  ///< marks the signal used
   void fork_workers_on(cluster::VmId vm, std::vector<WorkerId>& out);
   unsigned workers_per_vm(cluster::VmId vm) const;
 
@@ -332,27 +356,20 @@ class FriedaRun {
   std::size_t scale_outs_ = 0;
   std::size_t scale_ins_ = 0;
 
-  std::unique_ptr<sim::Channel<InboxMessage>> inbox_;
-  std::unique_ptr<sim::Channel<ControllerEvent>> events_;
-  std::unordered_map<cluster::VmId, std::unique_ptr<sim::Signal>> node_ready_;
-  std::unique_ptr<sim::Signal> master_done_;
+  sim::Channel<InboxMessage> inbox_;
+  sim::Channel<ControllerEvent> events_;
 
-  // Disk accounting state: staged arrival order (eviction candidates), pin
-  // counts of inputs referenced by in-flight units, units' pin locations,
-  // and nodes whose common data could not be staged.
-  std::unordered_map<cluster::VmId, std::deque<storage::FileId>> staged_order_;
-  std::unordered_map<cluster::VmId, std::unordered_map<storage::FileId, int>> pins_;
-  std::unordered_map<WorkUnitId, cluster::VmId> unit_pin_vm_;
-  std::unordered_set<cluster::VmId> invalid_nodes_;
-  std::unordered_map<cluster::VmId, int> staging_active_;  ///< transfers in flight
+  // Readiness and disk accounting per VM (staged order, pins, transfers in
+  // flight) and each unit's pin and hand-over (see VmState, UnitHold).
+  std::deque<VmState> vm_state_;
+  std::vector<UnitHold> unit_hold_;
 
   // Master crash/recovery state: the epoch invalidates dispatches that were
-  // mid-staging when the master died; handed_[u] records whether unit u's
-  // assignment reached its worker (those survive the outage).
+  // mid-staging when the master died; those whose assignment was handed to
+  // the worker survive the outage.
   bool master_down_ = false;
   std::uint64_t master_epoch_ = 0;
   std::unique_ptr<sim::Signal> master_recovered_;
-  std::vector<char> handed_;
   std::size_t master_crashes_ = 0;
   std::size_t failure_token_ = 0;  ///< cluster observer registrations,
   std::size_t running_token_ = 0;  ///< released in the destructor

@@ -11,15 +11,13 @@ namespace frieda::core {
 void FriedaRun::fork_workers_on(cluster::VmId vm, std::vector<WorkerId>& out) {
   const unsigned n = workers_per_vm(vm);
   for (unsigned slot = 0; slot < n; ++slot) {
-    auto ctx = std::make_unique<WorkerCtx>();
+    auto ctx = std::make_unique<WorkerCtx>(sim_);
     ctx->id = static_cast<WorkerId>(workers_.size());
     ctx->vm = vm;
     ctx->slot = slot;
-    ctx->inbox = std::make_unique<sim::Channel<MasterMessage>>(sim_);
     out.push_back(ctx->id);
     workers_.push_back(std::move(ctx));
-    sim_.spawn(worker_main(workers_.back()->id),
-               "worker-" + std::to_string(workers_.back()->id));
+    sim_.spawn(worker_main(workers_.back()->id), "worker");
   }
 }
 
@@ -28,9 +26,9 @@ sim::Task<> FriedaRun::controller_main() {
   // partition strategy, keeping an open channel for runtime reconfiguration.
   co_await sim_.delay(options_.control_latency);
   InboxMessage start = StartMaster{options_.strategy, options_.assignment};
-  inbox_->send(std::move(start));
+  inbox_.send(std::move(start));
   InboxMessage partition_info = SetPartitionInfo{units_};
-  inbox_->send(std::move(partition_info));
+  inbox_.send(std::move(partition_info));
 
   co_await cluster_.wait_all_running(initial_vms_);
   ready_time_ = sim_.now();
@@ -40,19 +38,19 @@ sim::Task<> FriedaRun::controller_main() {
     if (cluster_.vm(vm).running()) fork_workers_on(vm, ids);
   }
   InboxMessage fork = ForkWorkers{ids};
-  inbox_->send(std::move(fork));
+  inbox_.send(std::move(fork));
   FLOG(kDebug, "controller", "forked " << ids.size() << " workers at t=" << sim_.now());
 
   const std::set<cluster::VmId> initial_set(initial_vms_.begin(), initial_vms_.end());
   while (true) {
-    auto ev = co_await events_->recv();
+    auto ev = co_await events_.recv();
     if (!ev) break;
     if (const auto* failed = std::get_if<EvVmFailed>(&*ev)) {
       co_await sim_.delay(options_.control_latency);
       for (const auto& ws : workers_) {
         if (ws->vm == failed->vm && !ws->isolated) {
           InboxMessage isolate = IsolateWorker{ws->id};
-          inbox_->send(std::move(isolate));
+          inbox_.send(std::move(isolate));
         }
       }
     } else if (const auto* running = std::get_if<EvVmRunning>(&*ev)) {
@@ -61,7 +59,7 @@ sim::Task<> FriedaRun::controller_main() {
       fork_workers_on(running->vm, added);
       co_await sim_.delay(options_.control_latency);
       InboxMessage add = AddWorkers{added};
-      inbox_->send(std::move(add));
+      inbox_.send(std::move(add));
       FLOG(kDebug, "controller", "elastic add: vm " << running->vm << " joined with "
                                                     << added.size() << " workers");
     } else if (const auto* remove = std::get_if<EvRemoveVm>(&*ev)) {
@@ -69,7 +67,7 @@ sim::Task<> FriedaRun::controller_main() {
       for (const auto& ws : workers_) {
         if (ws->vm == remove->vm && worker_live(*ws)) {
           InboxMessage drain = DrainWorker{ws->id};
-          inbox_->send(std::move(drain));
+          inbox_.send(std::move(drain));
         }
       }
     }
@@ -80,7 +78,7 @@ cluster::VmId FriedaRun::add_vm(const cluster::InstanceType& type) {
   return cluster_.provision(type);  // EvVmRunning arrives once booted
 }
 
-void FriedaRun::remove_vm(cluster::VmId vm) { events_->send(EvRemoveVm{vm}); }
+void FriedaRun::remove_vm(cluster::VmId vm) { events_.send(EvRemoveVm{vm}); }
 
 void FriedaRun::crash_master(SimTime recovery_delay) {
   FRIEDA_CHECK(std::isfinite(recovery_delay) && recovery_delay >= 0.0,
@@ -105,7 +103,7 @@ void FriedaRun::recover_master() {
   // worker were lost with the master and go back to the queue; everything a
   // worker already holds keeps running (the planes are decoupled).
   for (auto& rec : unit_state_) {
-    if (rec.status == UnitStatus::kInFlight && !handed_[rec.unit]) requeue(rec.unit);
+    if (rec.status == UnitStatus::kInFlight && !unit_hold_[rec.unit].handed) requeue(rec.unit);
   }
   tap_.protocol(sim_.now(), obs::event::kMasterRecover);
   FLOG(kInfo, "controller", "master recovered at t=" << sim_.now());

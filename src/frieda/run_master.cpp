@@ -10,7 +10,7 @@ namespace frieda::core {
 sim::Task<> FriedaRun::master_main() {
   // Phase 1: initialization — wait for the controller's directives.
   while (!initialized_) {
-    auto msg = co_await inbox_->recv();
+    auto msg = co_await inbox_.recv();
     if (!msg) co_return;
     handle(*msg);
   }
@@ -46,7 +46,7 @@ sim::Task<> FriedaRun::master_main() {
 
   // Phase 3: task farming (Fig. 3/4 dispatch loop).
   while (!finished_) {
-    auto msg = co_await inbox_->recv();
+    auto msg = co_await inbox_.recv();
     if (!msg) break;
     // During a master outage messages buffer (workers reconnect and resend
     // is unnecessary — the channel is the reconnection buffer); they are
@@ -80,7 +80,7 @@ void FriedaRun::handle_control(const ControlMessage& msg) {
     tap_.protocol(sim_.now(), obs::event::kAddWorkers, obs::key::kWorkers, add->workers.size());
     for (const auto w : add->workers) {
       const auto vm = workers_[w]->vm;
-      if (!node_ready_.count(vm)) {
+      if (!vm_state(vm).ready_used) {
         sim_.spawn(stage_common_data(vm), "stage-common-elastic");
       }
     }
@@ -163,7 +163,7 @@ void FriedaRun::top_up(WorkerId worker) {
     rec.worker = worker;
     rec.attempts += 1;
     rec.dispatched = sim_.now();
-    handed_[*unit] = 0;
+    unit_hold_[*unit].handed = false;
     ++ws.unacked;
     tap_.dispatched(*unit, sim_.now(), rec.attempts, worker, ws.vm);
     sim_.spawn(dispatch(worker, *unit), "dispatch");
@@ -204,7 +204,8 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   }
 
   SimTime transfer_s = 0.0;
-  bool ok = !invalid_nodes_.count(ws.vm);  // common data never arrived there
+  auto& host = vm_state(ws.vm);
+  bool ok = !host.invalid;  // common data never arrived there
   if (ok && !streams_inputs()) {
     const auto node = cluster_.vm(ws.vm).node();
     // Inputs of in-flight units are pinned so concurrent dispatches cannot
@@ -222,9 +223,9 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
         const bool other_executing = std::any_of(
             unit_state_.begin(), unit_state_.end(), [&](const UnitRecord& other) {
               return other.unit != unit && other.status == UnitStatus::kInFlight &&
-                     handed_[other.unit] && workers_[other.worker]->vm == ws.vm;
+                     unit_hold_[other.unit].handed && workers_[other.worker]->vm == ws.vm;
             });
-        const bool other_staging = staging_active_[ws.vm] > 0;
+        const bool other_staging = host.staging_active > 0;
         if ((!other_executing && !other_staging) || ws.isolated || finished_ ||
             ++retries > 10000) {
           FLOG(kWarn, "master", "vm " << ws.vm << " local disk full; cannot stage unit "
@@ -241,10 +242,10 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
         ok = false;
         break;
       }
-      ++staging_active_[ws.vm];
+      ++host.staging_active;
       const auto r = co_await cluster_.network().transfer(
           *src, node, catalog_.info(f).size, options_.transfer_streams);
-      --staging_active_[ws.vm];
+      --host.staging_active;
       transfer_s += r.duration();
       if (!landed(Leg::kInput, ws.vm, worker, unit, f, r)) {
         ok = false;
@@ -264,9 +265,9 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
 
   if (epoch != master_epoch_) co_return;
   AssignWork work = make_assignment(unit);
-  handed_[unit] = 1;  // from here on the assignment survives a master crash
+  unit_hold_[unit].handed = true;  // from here on the assignment survives a master crash
   MasterMessage assignment = std::move(work);
-  const bool sent = ws.inbox->send(std::move(assignment));
+  const bool sent = ws.inbox.send(std::move(assignment));
   if (!sent && rec.status == UnitStatus::kInFlight && rec.worker == worker) {
     unit_not_completed(unit);
     if (!finished_) top_up(worker);
@@ -344,7 +345,7 @@ bool FriedaRun::any_worker_live() const {
 }
 
 void FriedaRun::release_worker(WorkerCtx& ws) {
-  ws.inbox->send(NoMoreWork{});
+  ws.inbox.send(NoMoreWork{});
   ws.finished = true;
   maybe_terminate_vm(ws.vm);
   check_progress_possible();
@@ -357,7 +358,7 @@ void FriedaRun::isolate_worker(WorkerId worker) {
   ++isolated_count_;
   tap_.protocol(sim_.now(), obs::event::kIsolateWorker, obs::key::kWorker, worker, obs::key::kVm,
                 ws.vm);
-  ws.inbox->close();  // a blocked worker wakes with nullopt and exits
+  ws.inbox.close();  // a blocked worker wakes with nullopt and exits
 
   // Units in flight on this worker are lost with it.
   for (auto& rec : unit_state_) {
@@ -439,13 +440,12 @@ void FriedaRun::finish_all() {
   end_time_ = sim_.now();
   for (auto& ws : workers_) {
     if (!ws->finished && !ws->isolated) {
-      ws->inbox->send(NoMoreWork{});
+      ws->inbox.send(NoMoreWork{});
       ws->finished = true;
     }
-    ws->inbox->close();
+    ws->inbox.close();
   }
-  events_->close();
-  master_done_->trigger();
+  events_.close();
 }
 
 // ---------------------------------------------------------------------------
@@ -459,14 +459,14 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
   if (!vm.running()) co_return;  // failed during boot
 
   InboxMessage reg = RegisterWorker{id};
-  inbox_->send(std::move(reg));
+  inbox_.send(std::move(reg));
   // Announce readiness once (Fig. 4 "request data"); afterwards the master's
   // credit accounting keeps this worker fed until NoMoreWork.
   InboxMessage request = RequestWork{id};
-  if (!inbox_->send(std::move(request))) co_return;
+  if (!inbox_.send(std::move(request))) co_return;
   while (true) {
     if (!vm.running()) co_return;
-    const auto msg = co_await ws.inbox->recv();
+    const auto msg = co_await ws.inbox.recv();
     if (!msg || std::holds_alternative<NoMoreWork>(*msg)) co_return;
     const auto& work = std::get<AssignWork>(*msg);
 
@@ -492,7 +492,7 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
       if (!read_ok) {
         if (!vm.running()) co_return;  // our VM died mid-read
         InboxMessage fail = ExecStatus{id, work.unit.id, false, transfer_s, 0.0};
-        if (!inbox_->send(std::move(fail))) co_return;
+        if (!inbox_.send(std::move(fail))) co_return;
         continue;
       }
     }
@@ -518,7 +518,7 @@ sim::Task<> FriedaRun::worker_main(WorkerId id) {
       }
     }
     InboxMessage status = ExecStatus{id, work.unit.id, io_ok, transfer_s, result.duration};
-    if (!inbox_->send(std::move(status))) {
+    if (!inbox_.send(std::move(status))) {
       co_return;
     }
   }

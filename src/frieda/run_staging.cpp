@@ -9,10 +9,15 @@
 
 namespace frieda::core {
 
+FriedaRun::VmState& FriedaRun::vm_state(cluster::VmId vm) {
+  while (vm_state_.size() <= vm) vm_state_.emplace_back(sim_);
+  return vm_state_[vm];
+}
+
 sim::Signal& FriedaRun::node_ready(cluster::VmId vm) {
-  auto& slot = node_ready_[vm];
-  if (!slot) slot = std::make_unique<sim::Signal>(sim_);
-  return *slot;
+  auto& state = vm_state(vm);
+  state.ready_used = true;
+  return state.ready;
 }
 
 sim::Task<> FriedaRun::staging() {
@@ -109,7 +114,7 @@ sim::Task<> FriedaRun::stage_common_data(cluster::VmId vm) {
   if (!reserve_disk(vm, common, /*allow_eviction=*/false)) {
     FLOG(kError, "master",
          "common data does not fit on vm " << vm << "; its workers cannot run");
-    invalid_nodes_.insert(vm);
+    vm_state(vm).invalid = true;
     ready.trigger();
     co_return;
   }
@@ -168,18 +173,21 @@ bool FriedaRun::inputs_on(WorkUnitId unit, net::NodeId node) const {
 
 std::optional<net::NodeId> FriedaRun::replica_source(storage::FileId file,
                                                      net::NodeId target) {
-  const auto nodes = replicas_.nodes_with(file);
+  const auto& nodes = replicas_.nodes_with(file);
   if (nodes.empty()) return std::nullopt;
   const auto source = cluster_.source_node();
-  if (std::find(nodes.begin(), nodes.end(), source) != nodes.end()) return source;
+  if (nodes.count(source) > 0) return source;
+  // Of several candidates the lowest node id wins, whatever the set's order.
   const auto& topo = cluster_.network().topology();
+  const auto site = topo.site(target);
+  std::optional<net::NodeId> same_site;
+  std::optional<net::NodeId> any;
   for (const auto n : nodes) {
-    if (n != target && topo.site(n) == topo.site(target)) return n;
+    if (n == target) continue;
+    if (!any || n < *any) any = n;
+    if (topo.site(n) == site && (!same_site || n < *same_site)) same_site = n;
   }
-  for (const auto n : nodes) {
-    if (n != target) return n;
-  }
-  return std::nullopt;
+  return same_site ? same_site : any;
 }
 
 std::optional<net::NodeId> FriedaRun::reserved_source(cluster::VmId vm, storage::FileId file) {
@@ -213,7 +221,7 @@ bool FriedaRun::landed(Leg leg, cluster::VmId vm, WorkerId worker, WorkUnitId un
     return false;
   }
   replicas_.add(file, cluster_.vm(vm).node());
-  staged_order_[vm].push_back(file);  // the newest eviction candidate
+  vm_state(vm).staged_order.push_back(file);  // the newest eviction candidate
   return true;
 }
 
@@ -233,15 +241,15 @@ void FriedaRun::release_disk(cluster::VmId vm, Bytes size) {
 }
 
 bool FriedaRun::evict_one_replica(cluster::VmId vm) {
-  auto& order = staged_order_[vm];
+  auto& state = vm_state(vm);
+  auto& order = state.staged_order;
   const auto node = cluster_.vm(vm).node();
-  auto& pinned = pins_[vm];
   for (auto it = order.begin(); it != order.end(); ++it) {
     const storage::FileId file = *it;
     if (!replicas_.has(file, node)) {
       continue;  // already gone (node churn); lazily skipped
     }
-    if (const auto pin = pinned.find(file); pin != pinned.end() && pin->second > 0) {
+    if (std::find(state.pinned.begin(), state.pinned.end(), file) != state.pinned.end()) {
       continue;  // an in-flight unit still needs it
     }
     if (replicas_.replica_count(file) <= 1) {
@@ -259,21 +267,23 @@ bool FriedaRun::evict_one_replica(cluster::VmId vm) {
 }
 
 void FriedaRun::pin_unit(WorkUnitId unit, cluster::VmId vm) {
-  unit_pin_vm_[unit] = vm;
-  auto& pinned = pins_[vm];
-  for (const auto f : units_[unit].inputs) ++pinned[f];
+  unit_hold_[unit].pin_vm = vm;
+  unit_hold_[unit].pinned = true;
+  auto& pinned = vm_state(vm).pinned;
+  pinned.insert(pinned.end(), units_[unit].inputs.begin(), units_[unit].inputs.end());
 }
 
 void FriedaRun::unpin_unit(WorkUnitId unit) {
-  const auto it = unit_pin_vm_.find(unit);
-  if (it == unit_pin_vm_.end()) return;
-  auto& pinned = pins_[it->second];
+  auto& hold = unit_hold_[unit];
+  if (!hold.pinned) return;
+  auto& pinned = vm_state(hold.pin_vm).pinned;
   for (const auto f : units_[unit].inputs) {
-    if (const auto pin = pinned.find(f); pin != pinned.end() && --pin->second <= 0) {
-      pinned.erase(pin);
+    if (const auto pin = std::find(pinned.begin(), pinned.end(), f); pin != pinned.end()) {
+      *pin = pinned.back();
+      pinned.pop_back();
     }
   }
-  unit_pin_vm_.erase(it);
+  hold.pinned = false;
 }
 
 }  // namespace frieda::core

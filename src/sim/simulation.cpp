@@ -10,7 +10,35 @@ namespace frieda::sim {
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
-Simulation::~Simulation() = default;
+Simulation::~Simulation() {
+  // Roots still suspended (blocked forever, or cut off by stop() or an
+  // exception) are destroyed here, while the queue their frames may refer
+  // to is still alive.
+  while (root_list_ != nullptr) {
+    detail::RootLink* root = root_list_;
+    root_list_ = root->next;
+    --live_roots_;
+    std::coroutine_handle<Task<>::promise_type>::from_promise(
+        static_cast<Task<>::promise_type&>(*root))
+        .destroy();
+  }
+}
+
+namespace detail {
+
+void finish_root(RootLink& root, const std::exception_ptr& error) noexcept {
+  Simulation& sim = *root.sim;
+  (root.prev != nullptr ? root.prev->next : sim.root_list_) = root.next;
+  if (root.next != nullptr) root.next->prev = root.prev;
+  --sim.live_roots_;
+  if (error && !sim.first_error_) {
+    sim.first_error_ = error;
+    FLOG(kError, "sim", "root process '" << root.name << "' terminated with an exception");
+    sim.stopped_ = true;
+  }
+}
+
+}  // namespace detail
 
 EventQueue::Handle Simulation::schedule_at(SimTime t, EventQueue::Callback fn) {
   // Every event enters the queue here.  An infinite time would move the clock
@@ -25,16 +53,17 @@ EventQueue::Handle Simulation::schedule_in(SimTime dt, EventQueue::Callback fn) 
 
 void Simulation::cancel(EventQueue::Handle& h) { queue_.cancel(h); }
 
-void Simulation::spawn(Task<> task, std::string name) {
+void Simulation::spawn(Task<> task, const char* name) {
   FRIEDA_CHECK(task.valid(), "spawn of an empty task");
-  const std::uint64_t id = next_root_id_++;
-  auto [it, inserted] = roots_.emplace(id, Root{std::move(task), std::move(name)});
-  FRIEDA_CHECK(inserted, "duplicate root id");
-  auto handle = it->second.task.handle();
-  handle.promise().on_done = [this, id] { finished_roots_.push_back(id); };
-  schedule_in(0.0, [handle] {
-    if (!handle.done()) handle.resume();
-  });
+  const auto handle = task.release();
+  detail::RootLink& root = handle.promise();
+  root.sim = this;
+  root.name = name;
+  root.next = root_list_;
+  if (root_list_ != nullptr) root_list_->prev = &root;
+  root_list_ = &root;
+  ++live_roots_;
+  schedule_in(0.0, [handle] { handle.resume(); });
 }
 
 void Simulation::dispatch_one() {
@@ -42,23 +71,6 @@ void Simulation::dispatch_one() {
   now_ = t;
   ++events_processed_;
   fn();
-  collect_finished_roots();
-}
-
-void Simulation::collect_finished_roots() {
-  while (!finished_roots_.empty()) {
-    const std::uint64_t id = finished_roots_.back();
-    finished_roots_.pop_back();
-    auto it = roots_.find(id);
-    if (it == roots_.end()) continue;
-    auto& promise = it->second.task.handle().promise();
-    if (promise.exception && !first_error_) {
-      first_error_ = promise.exception;
-      FLOG(kError, "sim", "root process '" << it->second.name << "' terminated with an exception");
-      stopped_ = true;
-    }
-    roots_.erase(it);
-  }
 }
 
 void Simulation::run() {

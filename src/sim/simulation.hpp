@@ -1,16 +1,16 @@
 // The simulation kernel: virtual clock, event loop, and process spawning.
 //
-// A Simulation owns an EventQueue and a registry of root coroutine processes.
-// All wake-ups in the system (delays, channel deliveries, signal triggers)
-// are funneled through the event queue, so same-time events execute in FIFO
-// order and every run is deterministic for a given seed.
+// A Simulation owns an EventQueue and the root coroutine processes that are
+// still suspended.  A root destroys its own frame when it finishes; the
+// Simulation links the live ones on an intrusive list (no allocation per
+// root) and destroys those still suspended when it goes away.  All wake-ups
+// in the system (delays, channel deliveries, signal triggers) are funneled
+// through the event queue, so same-time events execute in FIFO order and
+// every run is deterministic for a given seed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <unordered_map>
-#include <vector>
+#include <exception>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -45,8 +45,9 @@ class Simulation {
 
   /// Spawn a root process.  The task starts at the current time, runs
   /// concurrently with other processes, and is destroyed on completion.
-  /// `name` appears in diagnostics.
-  void spawn(Task<> task, std::string name = "proc");
+  /// `name` appears in diagnostics; it must outlive the process (a string
+  /// literal does).
+  void spawn(Task<> task, const char* name = "proc");
 
   /// Run until the event queue drains or stop() is called.
   /// Rethrows the first exception that escaped a root process.
@@ -67,7 +68,7 @@ class Simulation {
   const EventQueue::Counters& event_counters() const { return queue_.counters(); }
 
   /// Number of live root processes.
-  std::size_t live_processes() const { return roots_.size(); }
+  std::size_t live_processes() const { return live_roots_; }
 
   /// Simulation-wide RNG (fork() it for per-component streams).
   Rng& rng() { return rng_; }
@@ -88,8 +89,9 @@ class Simulation {
   }
 
  private:
+  friend void detail::finish_root(detail::RootLink&, const std::exception_ptr&) noexcept;
+
   void dispatch_one();
-  void collect_finished_roots();
 
   EventQueue queue_;
   SimTime now_ = 0.0;
@@ -97,13 +99,8 @@ class Simulation {
   std::uint64_t events_processed_ = 0;
   Rng rng_;
 
-  struct Root {
-    Task<> task;
-    std::string name;
-  };
-  std::uint64_t next_root_id_ = 0;
-  std::unordered_map<std::uint64_t, Root> roots_;
-  std::vector<std::uint64_t> finished_roots_;
+  detail::RootLink* root_list_ = nullptr;  ///< live roots, newest first
+  std::size_t live_roots_ = 0;
   std::exception_ptr first_error_{};
 };
 

@@ -6,8 +6,9 @@
 // process on a Simulation (it is then resumed from the event loop).
 //
 // Ownership: the Task object owns the coroutine frame (RAII).  Awaiting a
-// task keeps it alive in the awaiting frame; spawning moves it into the
-// Simulation's root registry, which destroys it after completion.
+// task keeps it alive in the awaiting frame.  Spawning hands the frame to
+// itself: a root destroys its own frame when it reaches final suspend, and
+// the Simulation destroys the roots still suspended when it goes away.
 //
 // Exceptions thrown inside a task propagate to the awaiter; exceptions that
 // escape a *root* task abort the simulation run() with the stored error.
@@ -15,13 +16,28 @@
 
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <utility>
 
 namespace frieda::sim {
 
+class Simulation;
+
 namespace detail {
+
+/// The root-process state in every promise: a spawned root is linked on its
+/// Simulation's intrusive list of live roots while it is suspended.  `sim`
+/// is null for tasks that were never spawned.
+struct RootLink {
+  Simulation* sim = nullptr;
+  const char* name = nullptr;
+  RootLink* prev = nullptr;
+  RootLink* next = nullptr;
+};
+
+/// Called from a root's final suspend, just before its frame is destroyed:
+/// unlinks the root and records an escaping exception (simulation.cpp).
+void finish_root(RootLink& root, const std::exception_ptr& error) noexcept;
 
 /// Storage + return hook for non-void task results.
 template <typename T>
@@ -47,9 +63,8 @@ class [[nodiscard]] Task {
   struct promise_type;
   using handle_type = std::coroutine_handle<promise_type>;
 
-  struct promise_type : detail::TaskPromiseStorage<T> {
+  struct promise_type : detail::TaskPromiseStorage<T>, detail::RootLink {
     std::coroutine_handle<> continuation{};
-    std::function<void()> on_done{};  // set only for spawned root tasks
     std::exception_ptr exception{};
 
     Task get_return_object() { return Task(handle_type::from_promise(*this)); }
@@ -60,7 +75,10 @@ class [[nodiscard]] Task {
       std::coroutine_handle<> await_suspend(handle_type h) noexcept {
         auto& p = h.promise();
         if (p.continuation) return p.continuation;
-        if (p.on_done) p.on_done();
+        if (p.sim != nullptr) {
+          detail::finish_root(p, p.exception);
+          h.destroy();
+        }
         return std::noop_coroutine();
       }
       void await_resume() noexcept {}
@@ -88,8 +106,8 @@ class [[nodiscard]] Task {
   /// True when the coroutine ran to completion.
   bool done() const { return handle_ && handle_.done(); }
 
-  /// Underlying handle (used by Simulation::spawn).
-  handle_type handle() const { return handle_; }
+  /// Give up ownership of the frame (Simulation::spawn hands it to itself).
+  handle_type release() { return std::exchange(handle_, nullptr); }
 
   /// Awaiting a task starts it immediately (symmetric transfer) and resumes
   /// the awaiter when it completes, yielding its value or rethrowing.

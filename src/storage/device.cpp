@@ -12,17 +12,6 @@ constexpr double kEpsilonBytes = 1e-6;
 constexpr double kMinTimeStep = 1e-9;
 }  // namespace
 
-bool StorageDevice::allocate(Bytes bytes) {
-  if (bytes > available()) return false;
-  used_ += bytes;
-  return true;
-}
-
-void StorageDevice::release(Bytes bytes) {
-  FRIEDA_CHECK(bytes <= used_, "releasing more than reserved");
-  used_ -= bytes;
-}
-
 SharedService::SharedService(sim::Simulation& sim, Bandwidth rate) : sim_(sim), rate_(rate) {
   FRIEDA_CHECK(rate_ > 0.0, "service rate must be > 0");
 }
@@ -103,7 +92,18 @@ void SharedService::fail() {
 void SharedService::restore() { failed_ = false; }
 
 LocalDisk::LocalDisk(sim::Simulation& sim, Bandwidth read_bw, Bandwidth write_bw, Bytes capacity)
-    : StorageDevice(capacity), read_path_(sim, read_bw), write_path_(sim, write_bw) {}
+    : read_path_(sim, read_bw), write_path_(sim, write_bw), capacity_(capacity) {}
+
+bool LocalDisk::allocate(Bytes bytes) {
+  if (bytes > available()) return false;
+  used_ += bytes;
+  return true;
+}
+
+void LocalDisk::release(Bytes bytes) {
+  FRIEDA_CHECK(bytes <= used_, "releasing more than reserved");
+  used_ -= bytes;
+}
 
 sim::Task<IoResult> LocalDisk::read(Bytes bytes) { return read_path_.submit(bytes); }
 
@@ -117,45 +117,6 @@ void LocalDisk::fail() {
 void LocalDisk::restore() {
   read_path_.restore();
   write_path_.restore();
-}
-
-NetworkVolume::NetworkVolume(net::Network& network, net::NodeId server_node,
-                             net::NodeId host_node, Bytes capacity)
-    : StorageDevice(capacity), network_(network), server_(server_node), host_(host_node) {}
-
-sim::Task<IoResult> NetworkVolume::read(Bytes bytes) {
-  const auto xfer = co_await network_.transfer(server_, host_, bytes);
-  co_return IoResult{xfer.ok(), xfer.duration()};
-}
-
-sim::Task<IoResult> NetworkVolume::write(Bytes bytes) {
-  const auto xfer = co_await network_.transfer(host_, server_, bytes);
-  co_return IoResult{xfer.ok(), xfer.duration()};
-}
-
-ObjectStore::ObjectStore(sim::Simulation& sim, net::Network& network, net::NodeId server_node,
-                         net::NodeId host_node, SimTime request_latency, Bytes capacity)
-    : StorageDevice(capacity),
-      sim_(sim),
-      network_(network),
-      server_(server_node),
-      host_(host_node),
-      request_latency_(request_latency) {
-  FRIEDA_CHECK(request_latency_ >= 0.0, "request latency must be >= 0");
-}
-
-sim::Task<IoResult> ObjectStore::read(Bytes bytes) {
-  const SimTime start = sim_.now();
-  co_await sim_.delay(request_latency_);
-  const auto xfer = co_await network_.transfer(server_, host_, bytes);
-  co_return IoResult{xfer.ok(), sim_.now() - start};
-}
-
-sim::Task<IoResult> ObjectStore::write(Bytes bytes) {
-  const SimTime start = sim_.now();
-  co_await sim_.delay(request_latency_);
-  const auto xfer = co_await network_.transfer(host_, server_, bytes);
-  co_return IoResult{xfer.ok(), sim_.now() - start};
 }
 
 }  // namespace frieda::storage

@@ -39,13 +39,10 @@ bool ReplicaMap::has(FileId file, net::NodeId node) const {
   return it != by_file_.end() && it->second.count(node) > 0;
 }
 
-std::vector<net::NodeId> ReplicaMap::nodes_with(FileId file) const {
-  std::vector<net::NodeId> out;
-  if (const auto it = by_file_.find(file); it != by_file_.end()) {
-    out.assign(it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-  }
-  return out;
+const std::unordered_set<net::NodeId>& ReplicaMap::nodes_with(FileId file) const {
+  static const std::unordered_set<net::NodeId> kNone;
+  const auto it = by_file_.find(file);
+  return it == by_file_.end() ? kNone : it->second;
 }
 
 std::size_t ReplicaMap::replica_count(FileId file) const {

@@ -67,8 +67,9 @@ class ReplicaMap {
   /// True when `node` holds `file`.
   bool has(FileId file, net::NodeId node) const;
 
-  /// All nodes holding `file` (unordered).
-  std::vector<net::NodeId> nodes_with(FileId file) const;
+  /// The nodes holding `file`, in the set's own (unspecified) order; a view
+  /// that the next add, remove or drop_node may change.
+  const std::unordered_set<net::NodeId>& nodes_with(FileId file) const;
 
   /// Number of replicas of `file`.
   std::size_t replica_count(FileId file) const;

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "net/network.hpp"
 #include "storage/device.hpp"
 #include "storage/file.hpp"
 
@@ -29,11 +30,14 @@ TEST(ReplicaMap, AddRemoveQuery) {
   EXPECT_TRUE(rm.has(0, 1));
   EXPECT_FALSE(rm.has(1, 2));
   EXPECT_EQ(rm.replica_count(0), 2u);
-  EXPECT_EQ(rm.nodes_with(0), (std::vector<net::NodeId>{1, 2}));
+  EXPECT_EQ(rm.nodes_with(0), (std::unordered_set<net::NodeId>{1, 2}));
+  EXPECT_TRUE(rm.nodes_with(5).empty());  // never added
   EXPECT_EQ(rm.files_on(1), (std::vector<FileId>{0, 1}));
+  const auto& holders = rm.nodes_with(0);  // a view, not a copy
   rm.remove(0, 1);
   EXPECT_FALSE(rm.has(0, 1));
   EXPECT_EQ(rm.replica_count(0), 1u);
+  EXPECT_EQ(holders, (std::unordered_set<net::NodeId>{2}));
   rm.remove(0, 99);  // no-op
 }
 
@@ -67,7 +71,7 @@ TEST(ReplicaMap, BytesOnNode) {
   EXPECT_EQ(rm.bytes_on(9, cat), 0u);
 }
 
-TEST(StorageDevice, CapacityAccounting) {
+TEST(LocalDisk, CapacityAccounting) {
   sim::Simulation sim;
   LocalDisk disk(sim, mBps(100), mBps(100), 10 * MB);
   EXPECT_EQ(disk.capacity(), 10 * MB);
@@ -147,64 +151,6 @@ TEST(SharedService, ZeroBytesImmediate) {
   EXPECT_TRUE(result.ok);
   EXPECT_DOUBLE_EQ(result.duration, 0.0);
   EXPECT_EQ(svc.active(), 0u);
-}
-
-net::Topology two_nodes() {
-  net::Topology t;
-  t.add_node("server", mbps(1000), mbps(1000));
-  t.add_node("host", mbps(100), mbps(100));
-  return t;
-}
-
-TEST(NetworkVolume, IoRidesTheNetwork) {
-  sim::Simulation sim;
-  net::Network netw(sim, two_nodes(), 0.0);
-  NetworkVolume vol(netw, /*server=*/0, /*host=*/1, GiB);
-  IoResult r_read, r_write;
-  sim.spawn([](NetworkVolume& v, IoResult& rr, IoResult& rw) -> sim::Task<> {
-    rr = co_await v.read(125 * MB);   // host ingress 12.5 MB/s => 10 s
-    rw = co_await v.write(125 * MB);  // host egress 12.5 MB/s => 10 s
-  }(vol, r_read, r_write));
-  sim.run();
-  EXPECT_TRUE(r_read.ok);
-  EXPECT_NEAR(r_read.duration, 10.0, 1e-6);
-  EXPECT_TRUE(r_write.ok);
-  EXPECT_NEAR(r_write.duration, 10.0, 1e-6);
-  EXPECT_EQ(vol.server_node(), 0u);
-}
-
-TEST(NetworkVolume, ClientsContendOnServerNic) {
-  sim::Simulation sim;
-  net::Topology t;
-  t.add_node("server", mbps(100), mbps(100));  // shared iSCSI server NIC
-  t.add_node("h1", mbps(1000), mbps(1000));
-  t.add_node("h2", mbps(1000), mbps(1000));
-  net::Network netw(sim, std::move(t), 0.0);
-  NetworkVolume v1(netw, 0, 1, GiB);
-  NetworkVolume v2(netw, 0, 2, GiB);
-  std::vector<IoResult> results(2);
-  sim.spawn([](NetworkVolume& v, IoResult& out) -> sim::Task<> {
-    out = co_await v.read(125 * MB);
-  }(v1, results[0]));
-  sim.spawn([](NetworkVolume& v, IoResult& out) -> sim::Task<> {
-    out = co_await v.read(125 * MB);
-  }(v2, results[1]));
-  sim.run();
-  EXPECT_NEAR(results[0].duration, 20.0, 1e-6);  // 6.25 MB/s each
-  EXPECT_NEAR(results[1].duration, 20.0, 1e-6);
-}
-
-TEST(ObjectStore, RequestLatencyBeforeBytes) {
-  sim::Simulation sim;
-  net::Network netw(sim, two_nodes(), 0.0);
-  ObjectStore store(sim, netw, 0, 1, /*request_latency=*/0.2, GiB);
-  IoResult result;
-  sim.spawn([](ObjectStore& s, IoResult& out) -> sim::Task<> {
-    out = co_await s.read(125 * MB);
-  }(store, result));
-  sim.run();
-  EXPECT_TRUE(result.ok);
-  EXPECT_NEAR(result.duration, 10.2, 1e-6);
 }
 
 }  // namespace
