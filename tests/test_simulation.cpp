@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -259,6 +260,113 @@ TEST(Simulation, DelayZeroYields) {
   sim.run();
   // Both prologues run before either epilogue: delay(0) really yields.
   EXPECT_EQ(order, (std::vector<int>{10, 20, 11, 21}));
+}
+
+// Same-time events fire in push order whatever their kind: callbacks,
+// due-now wakes and timed delays share one (time, push sequence) order.
+
+TEST(Simulation, DelayZeroWakeKeepsPushOrderAmongCallbacks) {
+  Simulation sim;
+  std::vector<std::string> order;
+  // Both roots wake at t = 2 in spawn order.  The first pushes callback A
+  // and then its own delay(0) wake; the second then pushes callback C.
+  auto first = [&]() -> Task<> {
+    co_await sim.delay(2.0);
+    sim.schedule_in(0.0, [&] { order.push_back("A"); });
+    co_await sim.delay(0.0);
+    order.push_back("wake@" + std::to_string(sim.now()));
+  };
+  auto second = [&]() -> Task<> {
+    co_await sim.delay(2.0);
+    sim.schedule_in(0.0, [&] { order.push_back("C"); });
+  };
+  sim.spawn(first());
+  sim.spawn(second());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"A", "wake@" + std::to_string(2.0), "C"}));
+}
+
+TEST(Simulation, SignalWakeKeepsPushOrderAmongCallbacks) {
+  Simulation sim;
+  Signal signal(sim);
+  std::vector<std::string> order;
+  auto waiter = [&](std::string name) -> Task<> {
+    co_await signal.wait();
+    order.push_back(name);
+  };
+  sim.spawn(waiter("w1"));
+  sim.spawn(waiter("w2"));
+  sim.schedule_at(3.0, [&] {
+    sim.schedule_in(0.0, [&] { order.push_back("before"); });
+    signal.trigger();  // w1 then w2, each its own event
+    sim.schedule_in(0.0, [&] { order.push_back("after"); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "w1", "w2", "after"}));
+}
+
+TEST(Simulation, TimedDelayKeepsPushOrderAtItsLandingTime) {
+  Simulation sim;
+  std::vector<std::string> order;
+  // Three events at t = 0 push, in this order: a callback at 5, a delay
+  // landing at 5, another callback at 5.
+  sim.schedule_at(0.0, [&] { sim.schedule_at(5.0, [&] { order.push_back("before"); }); });
+  auto sleeper = [&]() -> Task<> {
+    co_await sim.delay(5.0);
+    order.push_back("delay");
+  };
+  sim.spawn(sleeper());
+  sim.schedule_at(0.0, [&] { sim.schedule_at(5.0, [&] { order.push_back("after"); }); });
+  // Pushed first but at an earlier time, so it still leads.
+  sim.schedule_at(4.5, [&] { order.push_back("earlier"); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"earlier", "before", "delay", "after"}));
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+TEST(Simulation, RunUntilDrainsDueNowWakes) {
+  Simulation sim;
+  Signal signal(sim);
+  std::vector<double> woke;
+  auto waiter = [&]() -> Task<> {
+    co_await signal.wait();
+    woke.push_back(sim.now());
+    co_await sim.delay(0.0);  // a second due-now wake at the same time
+    woke.push_back(sim.now());
+  };
+  sim.spawn(waiter());
+  sim.spawn(waiter());
+  sim.schedule_at(3.0, [&] { signal.trigger(); });
+  int late = 0;
+  sim.schedule_at(10.0, [&] { ++late; });
+  EXPECT_TRUE(sim.run_until(3.0));
+  EXPECT_EQ(woke, (std::vector<double>{3.0, 3.0, 3.0, 3.0}));
+  EXPECT_EQ(sim.live_processes(), 0u);
+  EXPECT_EQ(late, 0);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_FALSE(sim.run_until(10.0));
+  EXPECT_EQ(late, 1);
+}
+
+TEST(Simulation, NonFiniteDelayThrowsIntoTheAwaitingTask) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Simulation sim;
+  int caught = 0;
+  auto sleeper = [&](double dt) -> Task<> {
+    try {
+      co_await sim.delay(dt);
+    } catch (const FriedaError&) {
+      ++caught;
+    }
+    co_await sim.delay(1.0);  // the task goes on after the rejected delay
+  };
+  sim.spawn(sleeper(kInf));
+  sim.spawn(sleeper(kNan));
+  sim.run();
+  EXPECT_EQ(caught, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.live_processes(), 0u);
 }
 
 }  // namespace
