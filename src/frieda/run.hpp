@@ -214,10 +214,10 @@ class FriedaRun {
   /// `ready`, so a record never moves once made (vm_state grows a deque).
   struct VmState {
     explicit VmState(sim::Simulation& sim) : ready(sim) {}
-    sim::Signal ready;          ///< the common data is staged (or given up on)
-    bool ready_used = false;    ///< `ready` was waited on or triggered
-    bool invalid = false;       ///< the common data could not be staged
-    int staging_active = 0;     ///< input transfers in flight to the VM
+    sim::Signal ready;           ///< the common data is staged (or given up on)
+    bool ready_claimed = false;  ///< staging started or `ready` was triggered
+    bool invalid = false;        ///< the common data could not be staged
+    int staging_active = 0;      ///< input transfers in flight to the VM
     /// Staged files in arrival order: the eviction candidates, oldest first.
     std::deque<storage::FileId> staged_order;
     /// Inputs of the in-flight units pinned here, one entry per pin.  At most
@@ -304,7 +304,7 @@ class FriedaRun {
            options_.strategy == PlacementStrategy::kSharedVolume;
   }
   VmState& vm_state(cluster::VmId vm);
-  sim::Signal& node_ready(cluster::VmId vm);  ///< marks the signal used
+  sim::Signal& node_ready(cluster::VmId vm);  ///< for staging: claims the VM
   void fork_workers_on(cluster::VmId vm, std::vector<WorkerId>& out);
   unsigned workers_per_vm(cluster::VmId vm) const;
 

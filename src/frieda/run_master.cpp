@@ -80,7 +80,7 @@ void FriedaRun::handle_control(const ControlMessage& msg) {
     tap_.protocol(sim_.now(), obs::event::kAddWorkers, obs::key::kWorkers, add->workers.size());
     for (const auto w : add->workers) {
       const auto vm = workers_[w]->vm;
-      if (!vm_state(vm).ready_used) {
+      if (!vm_state(vm).ready_claimed) {
         sim_.spawn(stage_common_data(vm), "stage-common-elastic");
       }
     }
@@ -194,7 +194,9 @@ sim::Task<> FriedaRun::dispatch(WorkerId worker, WorkUnitId unit) {
   const std::uint64_t epoch = master_epoch_;
   co_await sim_.delay(options_.dispatch_overhead);
   if (epoch != master_epoch_) co_return;
-  co_await node_ready(ws.vm).wait();
+  // Waiting does not claim the VM: an elastic VM's dispatch may get here
+  // before the master handles its AddWorkers and starts the staging.
+  co_await vm_state(ws.vm).ready.wait();
   if (epoch != master_epoch_) co_return;
   if (ws.isolated || finished_) {
     if (rec.status == UnitStatus::kInFlight && rec.worker == worker) {

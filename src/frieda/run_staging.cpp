@@ -16,7 +16,7 @@ FriedaRun::VmState& FriedaRun::vm_state(cluster::VmId vm) {
 
 sim::Signal& FriedaRun::node_ready(cluster::VmId vm) {
   auto& state = vm_state(vm);
-  state.ready_used = true;
+  state.ready_claimed = true;
   return state.ready;
 }
 

@@ -312,6 +312,37 @@ TEST(Elasticity, AddVmMidRunSpeedsCompletion) {
   EXPECT_GT(elastic_units, 0u);
 }
 
+TEST(Elasticity, AddVmWithSlowControlPlane) {
+  // A control-plane latency above the dispatch overhead lets an elastic
+  // VM's first dispatch wait on its ready signal before the master handles
+  // AddWorkers.  Waiting must not count as staging: the master still stages
+  // the VM and the run completes.
+  auto params = small_load();
+  params.mean_task_seconds = 5.0;
+  auto s = make_scenario(params, 1, 2);
+  RunOptions opt;
+  opt.strategy = PlacementStrategy::kRealTime;
+  opt.control_latency = 0.05;
+  ASSERT_GT(opt.control_latency, opt.dispatch_overhead);
+  FriedaRun run(*s.cluster, s.app->catalog(), s.units, *s.app, CommandTemplate("app $inp1"),
+                opt);
+  cluster::ActionPlan plan(*s.sim);
+  plan.at(20.0, [&run] {
+    auto type = cluster::c1_xlarge();
+    type.cores = 2;
+    type.boot_time = 5.0;
+    run.add_vm(type);
+  });
+  const auto report = run.run();
+  EXPECT_TRUE(report.all_completed());
+  EXPECT_EQ(report.workers.size(), 4u);
+  std::size_t elastic_units = 0;
+  for (const auto& w : report.workers) {
+    if (w.worker >= 2) elastic_units += w.units_completed;
+  }
+  EXPECT_GT(elastic_units, 0u);
+}
+
 TEST(Elasticity, RemoveVmDrainsAndTerminates) {
   auto params = small_load();
   params.mean_task_seconds = 3.0;
