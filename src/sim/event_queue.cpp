@@ -14,7 +14,7 @@ std::uint32_t EventQueue::acquire_slot() {
     ++counters_.slots_reused;
     return slot;
   }
-  FRIEDA_CHECK(slots_.size() < kNilSlot, "event queue slab exhausted");
+  FRIEDA_CHECK(slots_.size() < kMaxSlots, "event queue slab exhausted");
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -27,16 +27,48 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
+std::uint64_t EventQueue::frame_word(std::coroutine_handle<> h) {
+  const auto word = reinterpret_cast<std::uintptr_t>(h.address());
+  FRIEDA_CHECK(word != 0 && (word & kCallbackTag) == 0, "cannot schedule the resumption of "
+                                                        "an empty or unaligned coroutine handle");
+  return word;
+}
+
 EventQueue::Handle EventQueue::push(SimTime t, Callback fn) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.live = true;
-  heap_.push_back(HeapEntry{t, next_seq_++, slot, s.gen});
+  heap_.push_back(Entry{t, next_seq_++, ticket(slot, s.gen)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   ++counters_.scheduled;
   return Handle(this, slot, s.gen);
+}
+
+void EventQueue::push_resume(SimTime t, std::coroutine_handle<> h) {
+  heap_.push_back(Entry{t, next_seq_++, frame_word(h)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
+  ++counters_.scheduled;
+}
+
+void EventQueue::push_resume_now(SimTime now, std::coroutine_handle<> h) {
+  if (due_count_ == due_.size()) grow_due();
+  due_[(due_head_ + due_count_) & (due_.size() - 1)] = Entry{now, next_seq_++, frame_word(h)};
+  ++due_count_;
+  ++live_;
+  ++counters_.scheduled;
+}
+
+void EventQueue::grow_due() {
+  // Unwrap into a ring twice the size; the capacity stays a power of two.
+  std::vector<Entry> bigger(std::max<std::size_t>(16, 2 * due_.size()));
+  for (std::size_t i = 0; i < due_count_; ++i) {
+    bigger[i] = due_[(due_head_ + i) & (due_.size() - 1)];
+  }
+  due_.swap(bigger);
+  due_head_ = 0;
 }
 
 void EventQueue::cancel(Handle& h) {
@@ -50,35 +82,40 @@ void EventQueue::cancel(Handle& h) {
 }
 
 void EventQueue::purge_cancelled_top() const {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slots_[top.slot].live && slots_[top.slot].gen == top.gen) break;
+  while (!heap_.empty() && is_tombstone(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
 }
 
-bool EventQueue::empty() const {
-  purge_cancelled_top();
-  return heap_.empty();
-}
-
 SimTime EventQueue::next_time() const {
   FRIEDA_CHECK(!empty(), "next_time() on empty event queue");
-  return heap_.front().time;
+  purge_cancelled_top();
+  return due_first() ? due_[due_head_].time : heap_.front().time;
 }
 
-std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
+EventQueue::Event EventQueue::pop() {
   FRIEDA_CHECK(!empty(), "pop() on empty event queue");
-  const HeapEntry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  Callback fn = std::move(slots_[top.slot].fn);
-  slots_[top.slot].fn = nullptr;
-  release_slot(top.slot);
+  purge_cancelled_top();
   --live_;
   ++counters_.fired;
-  return {top.time, std::move(fn)};
+  if (due_first()) {
+    const Entry front = due_[due_head_];
+    due_head_ = (due_head_ + 1) & (due_.size() - 1);
+    --due_count_;
+    return Event{front.time, frame_handle(front.what)};
+  }
+  const Entry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  if ((top.what & kCallbackTag) == 0) {
+    return Event{top.time, frame_handle(top.what)};
+  }
+  const std::uint32_t slot = ticket_slot(top.what);
+  Callback fn = std::move(slots_[slot].fn);
+  slots_[slot].fn = nullptr;
+  release_slot(slot);
+  return Event{top.time, std::move(fn)};
 }
 
 }  // namespace frieda::sim

@@ -4,11 +4,12 @@
 // still suspended.  A root destroys its own frame when it finishes; the
 // Simulation links the live ones on an intrusive list (no allocation per
 // root) and destroys those still suspended when it goes away.  All wake-ups
-// in the system (delays, channel deliveries, signal triggers) are funneled
-// through the event queue, so same-time events execute in FIFO order and
-// every run is deterministic for a given seed.
+// in the system (delays, channel deliveries, signal triggers, spawns) enter
+// the event queue as resumptions through resume_in(), so same-time events
+// execute in FIFO order and every run is deterministic for a given seed.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <exception>
 
@@ -42,6 +43,12 @@ class Simulation {
 
   /// Cancel a previously scheduled callback.
   void cancel(EventQueue::Handle& h);
+
+  /// Resume `h` `dt` seconds from now (dt clamped to >= 0): the one entry
+  /// point for every resumption (delays, wakes, spawns).  A resumption due
+  /// now joins the queue's due-now FIFO.  Throws FriedaError when `dt` is
+  /// +infinity or NaN.
+  void resume_in(SimTime dt, std::coroutine_handle<> h);
 
   /// Spawn a root process.  The task starts at the current time, runs
   /// concurrently with other processes, and is destroyed on completion.
@@ -80,9 +87,7 @@ class Simulation {
       Simulation& sim;
       SimTime dt;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim.schedule_in(dt, [h] { h.resume(); });
-      }
+      void await_suspend(std::coroutine_handle<> h) { sim.resume_in(dt, h); }
       void await_resume() const noexcept {}
     };
     return DelayAwaiter{*this, dt};

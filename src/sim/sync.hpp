@@ -12,7 +12,8 @@
 // (detail::WaitList) whose nodes are the awaiters themselves, which live in
 // the waiting coroutine's frame for as long as it is suspended.  Waiting and
 // waking allocate nothing.  Wake order is FIFO: every waiter is resumed by
-// its own schedule_in(0.0, ...) event, oldest first.  No destructor walks
+// its own due-now resumption (Simulation::resume_in(0.0, ...), which joins
+// the event queue's due-now FIFO), oldest first.  No destructor walks
 // the list.  A Simulation destroys the frames still suspended when it goes
 // away, nodes included; nothing may trigger, release, send to or close a
 // primitive after that, since its wake-ups would go to that Simulation.
@@ -34,11 +35,8 @@ struct WaitNode {
   WaitNode(const WaitNode&) = delete;
   WaitNode& operator=(const WaitNode&) = delete;
 
-  /// Schedule this waiter's resumption as its own event.
-  void wake(Simulation& sim) const {
-    const auto h = handle;
-    sim.schedule_in(0.0, [h] { h.resume(); });
-  }
+  /// Schedule this waiter's resumption as its own due-now event.
+  void wake(Simulation& sim) const { sim.resume_in(0.0, handle); }
 
   std::coroutine_handle<> handle;
   WaitNode* next = nullptr;

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "sim/task.hpp"
 
 namespace frieda::sim {
 namespace {
@@ -16,10 +20,7 @@ TEST(EventQueue, OrdersByTime) {
   q.push(3.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
   q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-  }
+  while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -27,7 +28,7 @@ TEST(EventQueue, FifoAtEqualTimes) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) q.push(5.0, [&order, i] { order.push_back(i); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().fire();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -35,8 +36,7 @@ TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
   q.push(4.25, [] {});
   EXPECT_DOUBLE_EQ(q.next_time(), 4.25);
-  auto [t, fn] = q.pop();
-  EXPECT_DOUBLE_EQ(t, 4.25);
+  EXPECT_DOUBLE_EQ(q.pop().time, 4.25);
   EXPECT_TRUE(q.empty());
 }
 
@@ -48,7 +48,7 @@ TEST(EventQueue, CancelSkipsEvent) {
   EXPECT_TRUE(h.pending());
   q.cancel(h);
   EXPECT_FALSE(h.pending());
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().fire();
   EXPECT_EQ(fired, 1);
 }
 
@@ -91,7 +91,7 @@ TEST(EventQueue, PopOnEmptyThrows) {
 TEST(EventQueue, HandleOutlivesFiredEvent) {
   EventQueue q;
   auto h = q.push(1.0, [] {});
-  q.pop().second();
+  q.pop().fire();
   EXPECT_FALSE(h.pending());
   q.cancel(h);  // safe after fire
 }
@@ -119,8 +119,7 @@ TEST(EventQueue, StaleHandleStaysDeadAfterSlotReuse) {
   q.cancel(old);  // must not cancel the recycled event
   EXPECT_TRUE(fresh.pending());
   EXPECT_EQ(q.size(), 1u);
-  auto [t, fn] = q.pop();
-  EXPECT_DOUBLE_EQ(t, 3.0);
+  EXPECT_DOUBLE_EQ(q.pop().time, 3.0);
   EXPECT_FALSE(fresh.pending());
 }
 
@@ -139,9 +138,133 @@ TEST(EventQueue, SlabChurnKeepsDeterministicOrder) {
   for (int round = 0; round < 50; ++round) expected.push_back(round);
   std::stable_sort(expected.begin(), expected.end(),
                    [](int a, int b) { return a % 7 < b % 7; });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop().fire();
   EXPECT_EQ(order, expected);
   EXPECT_EQ(q.size(), 0u);
+}
+
+// Resumptions need real coroutine frames: each one appends its label to a
+// log when resumed, then parks at its final suspend point.
+Task<> log_label(std::vector<int>& log, int label) {
+  log.push_back(label);
+  co_return;
+}
+
+/// Owns the released frames of never-spawned tasks.
+struct Frames {
+  std::vector<std::coroutine_handle<>> all;
+  std::coroutine_handle<> make(std::vector<int>& log, int label) {
+    all.push_back(log_label(log, label).release());
+    return all.back();
+  }
+  ~Frames() {
+    for (const auto h : all) h.destroy();
+  }
+};
+
+TEST(EventQueue, ResumptionsTakeNoSlot) {
+  EventQueue q;
+  Frames frames;
+  std::vector<int> log;
+  q.push(1.0, [&] { log.push_back(0); });
+  q.push_resume(1.0, frames.make(log, 1));
+  q.push_resume_now(0.0, frames.make(log, 2));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 0.0);
+  while (!q.empty()) q.pop().fire();
+  EXPECT_EQ(log, (std::vector<int>{2, 0, 1}));
+  q.push(2.0, [] {});  // recycles the one callback slot
+  q.push_resume(2.0, frames.make(log, 3));
+  q.push_resume_now(1.0, frames.make(log, 4));
+  while (!q.empty()) q.pop().fire();
+  const auto& c = q.counters();
+  EXPECT_EQ(c.scheduled, 6u);
+  EXPECT_EQ(c.fired, 6u);
+  EXPECT_EQ(c.slots_reused, 1u);
+}
+
+TEST(EventQueue, DueNowFifoKeepsOrderAcrossWrapAndGrowth) {
+  // Pop part of the ring so it wraps, then outgrow it while wrapped.
+  EventQueue q;
+  Frames frames;
+  std::vector<int> log;
+  int label = 0;
+  for (; label < 12; ++label) q.push_resume_now(0.0, frames.make(log, label));
+  for (int i = 0; i < 8; ++i) q.pop().fire();
+  for (; label < 60; ++label) q.push_resume_now(0.0, frames.make(log, label));
+  while (!q.empty()) q.pop().fire();
+  std::vector<int> expected(60);
+  for (int i = 0; i < 60; ++i) expected[i] = i;
+  EXPECT_EQ(log, expected);
+}
+
+TEST(EventQueue, MixedKindsPopInReferenceOrder) {
+  // Differential test: random mixes of callbacks, timed resumptions,
+  // due-now resumptions, cancels and pops, checked against a reference
+  // that sorts every live event by (time, push order).
+  enum class Kind { kCallback, kTimed, kDueNow };
+  struct Ref {
+    SimTime time;
+    int label;  // push order
+    Kind kind;
+    bool live;
+    EventQueue::Handle handle;
+  };
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+    EventQueue q;
+    Frames frames;
+    std::vector<int> log;
+    std::vector<Ref> ref;
+    SimTime now = 0.0;
+    std::size_t live = 0;
+    // Pushes outnumber pops early on, then pops drain the queue.
+    for (int step = 0; step < 3000 || live > 0; ++step) {
+      const int action = step < 3000 ? pick(10) : 9;
+      const SimTime later = now + 0.5 * pick(4);  // coarse, so times tie often
+      const int label = static_cast<int>(ref.size());
+      if (action <= 1) {
+        auto h = q.push(later, [&log, label] { log.push_back(label); });
+        ref.push_back({later, label, Kind::kCallback, true, h});
+        ++live;
+      } else if (action <= 3) {
+        q.push_resume(later, frames.make(log, label));
+        ref.push_back({later, label, Kind::kTimed, true, {}});
+        ++live;
+      } else if (action <= 5) {
+        q.push_resume_now(now, frames.make(log, label));
+        ref.push_back({now, label, Kind::kDueNow, true, {}});
+        ++live;
+      } else if (action == 6 && !ref.empty()) {
+        Ref& victim = ref[pick(static_cast<int>(ref.size()))];
+        if (victim.kind == Kind::kCallback && victim.live) {
+          q.cancel(victim.handle);
+          victim.live = false;
+          --live;
+        }
+      } else if (live > 0) {
+        const auto next = std::min_element(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
+          return std::make_tuple(!a.live, a.time, a.label) <
+                 std::make_tuple(!b.live, b.time, b.label);
+        });
+        ASSERT_DOUBLE_EQ(q.next_time(), next->time) << "seed " << seed << " step " << step;
+        auto event = q.pop();
+        ASSERT_DOUBLE_EQ(event.time, next->time);
+        event.fire();
+        ASSERT_FALSE(log.empty());
+        ASSERT_EQ(log.back(), next->label) << "seed " << seed << " step " << step;
+        next->live = false;
+        --live;
+        now = event.time;
+      }
+      ASSERT_EQ(q.size(), live);
+    }
+    EXPECT_TRUE(q.empty());
+    const auto fired = static_cast<std::uint64_t>(log.size());
+    EXPECT_EQ(q.counters().fired, fired);
+    EXPECT_EQ(q.counters().scheduled, fired + q.counters().cancelled);
+  }
 }
 
 }  // namespace
