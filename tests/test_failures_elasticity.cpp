@@ -278,6 +278,100 @@ TEST(Failure, AlsVmFailureWithFlowsAndDiskWritesInFlightIsPinned) {
   EXPECT_EQ(report_digest(report), "4a6c164d06dd554bcb451f754fda1e08");
 }
 
+// Same-time order at the two per-unit timers: a VM failure landing at the
+// instant a compute slice ends, and a disk write joining at the instant of a
+// pending completion.  Whichever was pushed first acts first.
+
+TEST(Failure, VmFailAtTheInstantSlicesEndIsPinned) {
+  // Slices a (t = 1 + 4) and b (t = 2 + 3) both end at t = 5; the failure
+  // at t = 5 is pushed before both, between them, or after both.
+  struct Case {
+    SimTime push_fail_at;
+    std::vector<std::string> log;
+    bool a_ok, b_ok;
+    SimTime core_seconds;
+    std::uint64_t cancelled;
+  };
+  const Case cases[] = {
+      {0.0, {"fail", "b", "a"}, false, false, 0.0, 2},
+      {1.5, {"fail", "a", "b"}, true, false, 4.0, 1},
+      {3.0, {"fail", "a", "b"}, true, true, 7.0, 0},
+  };
+  for (const auto& c : cases) {
+    sim::Simulation sim;
+    VirtualCluster cluster(sim);
+    auto type = cluster::c1_xlarge();
+    type.cores = 2;
+    type.boot_time = 0.0;
+    const auto id = cluster.provision(type);
+    std::vector<std::string> log;
+    cluster::ComputeResult a, b;
+    auto worker = [&](SimTime start, SimTime seconds, cluster::ComputeResult& out,
+                      const char* name) -> sim::Task<> {
+      co_await sim.delay(start);
+      out = co_await cluster.vm(id).compute(seconds);
+      log.emplace_back(name);
+    };
+    sim.schedule_at(c.push_fail_at, [&] {
+      sim.schedule_at(5.0, [&] {
+        log.emplace_back("fail");
+        cluster.fail_vm(id);
+      });
+    });
+    sim.spawn(worker(1.0, 4.0, a, "a"));
+    sim.spawn(worker(2.0, 3.0, b, "b"));
+    sim.run();
+    EXPECT_EQ(log, c.log) << "pushed at " << c.push_fail_at;
+    EXPECT_EQ(a.completed, c.a_ok) << "pushed at " << c.push_fail_at;
+    EXPECT_EQ(b.completed, c.b_ok) << "pushed at " << c.push_fail_at;
+    EXPECT_DOUBLE_EQ(a.duration, 4.0);
+    EXPECT_DOUBLE_EQ(b.duration, 3.0);
+    EXPECT_DOUBLE_EQ(cluster.vm(id).core_seconds_used(), c.core_seconds);
+    EXPECT_EQ(sim.event_counters().cancelled, c.cancelled) << "pushed at " << c.push_fail_at;
+  }
+}
+
+TEST(Failure, DiskWriteJoiningAtAPendingCompletionIsPinned) {
+  // Writes A (45 MB) and C (90 MB) share a 90 MB/s disk from t = 0, so A
+  // ends at t = 1; B (9 MB) joins at t = 1, before or after that completion.
+  for (const bool join_first : {true, false}) {
+    sim::Simulation sim;
+    VirtualCluster cluster(sim);
+    auto type = cluster::c1_xlarge();
+    type.boot_time = 0.0;
+    type.disk_write_bw = mBps(90);
+    const auto id = cluster.provision(type);
+    std::vector<std::pair<std::string, SimTime>> log;
+    auto writer = [&](SimTime start, Bytes bytes, const char* name) -> sim::Task<> {
+      co_await sim.delay(start);
+      const auto io = co_await cluster.vm(id).disk().write(bytes);
+      EXPECT_TRUE(io.ok);
+      log.emplace_back(name, sim.now());
+    };
+    // B's delay to t = 1 is pushed before the disk arms its completion at
+    // t = 0, or at t = 0.5, after it.
+    if (join_first) sim.spawn(writer(1.0, 9 * MB, "B"));
+    sim.spawn(writer(0.0, 45 * MB, "A"));
+    sim.spawn(writer(0.0, 90 * MB, "C"));
+    if (!join_first) sim.schedule_at(0.5, [&] { sim.spawn(writer(0.5, 9 * MB, "B")); });
+    sim.run();
+    // From t = 1, B and C share the disk: B's 9 MB take 0.2 s, and C's
+    // remaining 45 MB end 0.4 s after that at the full rate.
+    const std::vector<std::pair<std::string, SimTime>> expected{
+        {"A", 1.0}, {"B", 1.2}, {"C", 1.6}};
+    ASSERT_EQ(log.size(), expected.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(log[i].first, expected[i].first) << "join_first " << join_first;
+      EXPECT_DOUBLE_EQ(log[i].second, expected[i].second) << "join_first " << join_first;
+    }
+    const auto& counters = sim.event_counters();
+    // Joining first retires A inside B's submit, which moves the pending
+    // completion (a cancel); joining after lets that completion fire.
+    EXPECT_EQ(counters.cancelled, 2u) << "join_first " << join_first;
+    EXPECT_EQ(counters.fired, join_first ? 12u : 14u) << "join_first " << join_first;
+  }
+}
+
 TEST(Elasticity, AddVmMidRunSpeedsCompletion) {
   auto params = small_load();
   params.mean_task_seconds = 5.0;
