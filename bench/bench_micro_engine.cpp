@@ -1,38 +1,50 @@
 // EXP-M0 — google-benchmark microbenchmarks of the substrate primitives:
 // event queue throughput, coroutine channel round trips, the max-min fair
-// solver, partition generation, a full small FRIEDA run per iteration,
-// sweep-engine throughput (1 thread vs. a pool) on a fixed scenario grid,
-// sweep memoization (duplicate-heavy grid, uncached vs. warm cache), the
-// fork-based process backend on the same grid (thread vs. process), and
-// steal-half dispatch on a deliberately skewed grid (pinned vs. stealing).
+// solver, partition generation, sweep-engine throughput (1 thread vs. a
+// pool) on a fixed scenario grid, the fork-based process backend on the same
+// grid (thread vs. process), and steal-half dispatch on a deliberately
+// skewed grid (pinned vs. stealing).  Whole runs, memoized sweeps and
+// execution templates are measured end to end by perfbench/.
 #include <benchmark/benchmark.h>
 
-#include "cluster/cluster.hpp"
+#include <deque>
+
 #include "exp/grid.hpp"
-#include "frieda/assignment.hpp"
 #include "frieda/partition.hpp"
-#include "frieda/run.hpp"
-#include "frieda/template.hpp"
 #include "net/fairshare.hpp"
 #include "net/network.hpp"
 #include "sim/channel.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer.hpp"
 #include "workload/scenarios.hpp"
-#include "workload/synthetic.hpp"
 
 namespace {
 
 using namespace frieda;
 
+/// A timer whose action only counts its firings.
+struct Tick final : sim::Timer {
+  explicit Tick(sim::Simulation& sim) : Timer(sim) {}
+  void fire() override { ++fired; }
+  std::uint64_t fired = 0;
+};
+
 void BM_EventQueuePushPop(benchmark::State& state) {
+  // n timers armed at scattered times, then popped and fired in order by
+  // the event loop.  The timers and the queue's heap persist across
+  // iterations, so this is the steady state: no allocation per event.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Simulation sim;
+  std::deque<Tick> timers;
+  for (std::size_t i = 0; i < n; ++i) timers.emplace_back(sim);
   for (auto _ : state) {
-    sim::EventQueue q;
+    const SimTime base = sim.now();
     for (std::size_t i = 0; i < n; ++i) {
-      q.push(static_cast<double>((i * 2654435761u) % 1000), [] {});
+      timers[i].arm_at(base + static_cast<double>((i * 2654435761u) % 1000));
     }
-    while (!q.empty()) q.pop();
+    sim.run();
   }
+  benchmark::DoNotOptimize(timers.front().fired);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -200,32 +212,6 @@ void BM_PartitionGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionGenerate);
 
-void BM_FullFriedaRun(benchmark::State& state) {
-  // A complete small real-time run per iteration: controller, master,
-  // 8 workers, 128 units, network staging and execution.
-  for (auto _ : state) {
-    sim::Simulation sim(11);
-    cluster::VirtualCluster cluster(sim);
-    auto type = cluster::c1_xlarge();
-    type.boot_time = 0.0;
-    cluster.provision(type, 2);
-    workload::SyntheticParams params;
-    params.file_count = 128;
-    params.mean_file_bytes = MB;
-    params.mean_task_seconds = 1.0;
-    workload::SyntheticModel app(params);
-    auto units = core::PartitionGenerator::generate(core::PartitionScheme::kSingleFile,
-                                                    app.catalog());
-    core::RunOptions opt;
-    opt.strategy = core::PlacementStrategy::kRealTime;
-    core::FriedaRun run(cluster, app.catalog(), std::move(units), app,
-                        core::CommandTemplate("app $inp1"), opt);
-    const auto report = run.run();
-    benchmark::DoNotOptimize(report.units_completed);
-  }
-}
-BENCHMARK(BM_FullFriedaRun)->Unit(benchmark::kMillisecond);
-
 void BM_SweepThroughput(benchmark::State& state) {
   // The tentpole measurement: a fixed 32-job BLAST grid (8 seeds x 4
   // strategies at 10% scale, one shared immutable model) executed per
@@ -330,98 +316,6 @@ void BM_SweepSteal(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
 BENCHMARK(BM_SweepSteal)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SweepMemoized(benchmark::State& state) {
-  // Memoization measurement: a duplicate-heavy 32-job BLAST grid (the same
-  // 4 strategy cells repeated 8 times — the shape ablation drivers produce
-  // when several tables re-run a shared baseline).  Arg(0) runs with the
-  // cache disabled (all 32 cells execute); Arg(1) keeps one ResultCache warm
-  // across iterations, so every cell is served from cache and the duplicate
-  // cells' execution cost is eliminated.  The ratio is what cross-grid
-  // memoization buys; like BM_SweepThroughput it is wall-clock honest even
-  // on a single-core container, since no pool scaling is involved.
-  const bool memoized = state.range(0) == 1;
-  workload::PaperScenarioOptions base;
-  base.scale = 0.1;
-  const auto model =
-      std::make_shared<const workload::BlastModel>(workload::make_blast_model(base));
-  exp::ResultCache<core::RunReport> cache;  // local: iteration-to-iteration warmth
-  for (auto _ : state) {
-    exp::Grid grid;
-    for (int rep = 0; rep < 8; ++rep) {
-      grid.add_blast(core::PlacementStrategy::kNoPartitionCommon, base, model);
-      grid.add_blast(core::PlacementStrategy::kPrePartitionRemote, base, model);
-      grid.add_blast(core::PlacementStrategy::kPrePartitionLocal, base, model);
-      grid.add_blast(core::PlacementStrategy::kRealTime, base, model);
-    }
-    exp::SweepRunner<> runner(exp::SweepOptions{1});
-    runner.set_cache(memoized ? &cache : nullptr);
-    const auto outcomes = runner.run(grid.take());
-    for (const auto& o : outcomes) benchmark::DoNotOptimize(o.get().units_completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-BENCHMARK(BM_SweepMemoized)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_ControlPlaneTemplate(benchmark::State& state) {
-  // Control-plane cost per unit, cold vs. warm.  Cold (range(1)==0) is what
-  // the first run of a scenario pays: partition generation plus a full
-  // template capture — one command binding per unit, the assignment table,
-  // and validation.  Warm (range(1)==1) is what every subsequent run pays:
-  // a store lookup plus the instantiation copies a run actually consumes
-  // (the unit list, the assignment table, one AssignWork prototype per
-  // unit).  The per-item ratio is what execution templates buy.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const bool warm = state.range(1) == 1;
-  storage::FileCatalog cat;
-  cat.add_file("query.fasta", 4 * MB);
-  for (std::size_t i = 0; i < n; ++i) {
-    cat.add_file("db" + std::to_string(i), MB + (i % 7) * 128 * 1024);
-  }
-  const core::CommandTemplate command("blastall -p blastp -i $inp1 -d $inp2");
-  constexpr std::size_t kWorkers = 16;
-  core::TemplateStore store;
-  const Fingerprint key =
-      StableHasher().mix_str("bench-control-plane").mix_u64(n).digest();
-  if (warm) {
-    auto units = core::PartitionGenerator::generate(core::PartitionScheme::kOneToAll, cat);
-    store.insert(key, core::ExecutionTemplate::capture(
-                          std::move(units), command, cat, "/data", true,
-                          core::AssignmentPolicy::kRoundRobin, kWorkers, 0, {}));
-  }
-  for (auto _ : state) {
-    if (warm) {
-      const auto tmpl = *store.lookup(key);
-      std::vector<core::WorkUnit> units = tmpl->units();
-      std::vector<std::vector<core::WorkUnitId>> table = tmpl->assignment();
-      benchmark::DoNotOptimize(table);
-      for (std::size_t i = 0; i < units.size(); ++i) {
-        core::AssignWork work = tmpl->prototypes()[i];
-        benchmark::DoNotOptimize(work);
-      }
-      benchmark::DoNotOptimize(units);
-    } else {
-      store.clear();
-      auto units =
-          core::PartitionGenerator::generate(core::PartitionScheme::kOneToAll, cat);
-      auto tmpl = core::ExecutionTemplate::capture(
-          std::move(units), command, cat, "/data", true,
-          core::AssignmentPolicy::kRoundRobin, kWorkers, 0, {});
-      store.insert(key, std::move(tmpl));
-      benchmark::DoNotOptimize(store.size());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ControlPlaneTemplate)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -27,18 +27,19 @@ VmId VirtualCluster::provision_at(const InstanceType& type, net::SiteId site) {
   }
   const VmId id = static_cast<VmId>(vms_.size());
   vms_.push_back(std::make_unique<Vm>(sim_, id, node, type));
-  boot_signals_.push_back(std::make_unique<sim::Signal>(sim_));
-
-  sim_.schedule_in(type.boot_time, [this, id] {
-    auto& machine = *vms_[id];
-    if (machine.state() == VmState::kProvisioning) {
-      machine.mark_running();
-      FLOG(kDebug, "cluster", "vm " << id << " booted at t=" << sim_.now());
-      for (const auto& [token, cb] : running_observers_) cb(id);
-    }
-    boot_signals_[id]->trigger();
-  });
+  boots_.push_back(std::make_unique<Boot>(*this, id));
+  boots_.back()->arm_at(sim_.now() + std::max(type.boot_time, 0.0));
   return id;
+}
+
+void VirtualCluster::Boot::fire() {
+  auto& machine = *cluster.vms_[id];
+  if (machine.state() == VmState::kProvisioning) {
+    machine.mark_running();
+    FLOG(kDebug, "cluster", "vm " << id << " booted at t=" << cluster.sim_.now());
+    for (const auto& [token, cb] : cluster.running_observers_) cb(id);
+  }
+  done.trigger();
 }
 
 std::vector<VmId> VirtualCluster::provision(const InstanceType& type, std::size_t count,
@@ -55,7 +56,7 @@ void VirtualCluster::connect_sites(net::SiteId a, net::SiteId b, Bandwidth wan_c
 
 sim::Task<> VirtualCluster::wait_running(VmId id) {
   FRIEDA_CHECK(id < vms_.size(), "vm id out of range");
-  co_await boot_signals_[id]->wait();
+  co_await boots_[id]->done.wait();
 }
 
 sim::Task<> VirtualCluster::wait_all_running(std::vector<VmId> ids) {
@@ -100,7 +101,7 @@ void VirtualCluster::fail_vm(VmId id) {
   const bool was_provisioning = machine.state() == VmState::kProvisioning;
   machine.fail();
   network_->fail_node(machine.node());
-  if (was_provisioning) boot_signals_[id]->trigger();
+  if (was_provisioning) boots_[id]->done.trigger();
   for (const auto& [token, cb] : failure_observers_) cb(id);
 }
 
@@ -126,8 +127,6 @@ void VirtualCluster::terminate_vm(VmId id) {
   machine.terminate();
   network_->fail_node(machine.node());  // release flows towards the slot
 }
-
-FailureInjector::FailureInjector(VirtualCluster& cluster) : cluster_(cluster) {}
 
 void FailureInjector::schedule(VmId id, SimTime when) {
   cluster_.simulation().schedule_at(when, [this, id] {

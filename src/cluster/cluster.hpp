@@ -110,8 +110,16 @@ class VirtualCluster {
   std::unique_ptr<net::Network> network_;
   net::NodeId source_node_;
   std::optional<net::NodeId> storage_node_;
+  /// Marks VM `id` running when it fires; wait_running() waits on `done`.
+  struct Boot final : sim::Timer {
+    Boot(VirtualCluster& c, VmId vm) : Timer(c.sim_), cluster(c), id(vm), done(c.sim_) {}
+    void fire() override;
+    VirtualCluster& cluster;
+    VmId id;
+    sim::Signal done;
+  };
   std::vector<std::unique_ptr<Vm>> vms_;
-  std::vector<std::unique_ptr<sim::Signal>> boot_signals_;
+  std::vector<std::unique_ptr<Boot>> boots_;
   std::size_t next_observer_token_ = 1;
   std::map<std::size_t, std::function<void(VmId)>> failure_observers_;
   std::map<std::size_t, std::function<void(VmId)>> running_observers_;
@@ -123,7 +131,7 @@ class VirtualCluster {
 class FailureInjector {
  public:
   /// Construct over a cluster.
-  explicit FailureInjector(VirtualCluster& cluster);
+  explicit FailureInjector(VirtualCluster& cluster) : cluster_(cluster) {}
 
   /// Fail a specific VM at an absolute time.
   void schedule(VmId id, SimTime when);

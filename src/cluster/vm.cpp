@@ -1,7 +1,5 @@
 #include "cluster/vm.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -62,10 +60,9 @@ void Vm::fail() {
   slices.swap(active_slices_);
   for (auto it = slices.rbegin(); it != slices.rend(); ++it) {
     Slice& slice = **it;
-    if (slice.done) continue;
-    slice.done = true;
+    if (!slice.armed()) continue;  // ended, not yet resumed
+    slice.disarm();
     slice.ok = false;
-    if (slice.timer.pending()) sim_.cancel(slice.timer);
     slice.signal.trigger();
   }
 }
@@ -90,18 +87,13 @@ sim::Task<ComputeResult> Vm::compute(SimTime seconds) {
 
   ++busy_cores_;
   Slice slice(sim_);
-  Slice* const self = &slice;
-  slice.timer = sim_.schedule_in(seconds, [self] {
-    self->done = true;
-    self->signal.trigger();
-  });
-  active_slices_.push_back(self);
+  slice.arm_at(sim_.now() + seconds);
+  active_slices_.push_back(&slice);
 
   co_await slice.signal.wait();
 
   // fail() empties the list before it wakes anyone: unlink only if listed.
-  const auto listed = std::find(active_slices_.begin(), active_slices_.end(), self);
-  if (listed != active_slices_.end()) active_slices_.erase(listed);
+  std::erase(active_slices_, &slice);
   --busy_cores_;
   if (slice.ok) core_seconds_used_ += seconds;
   cores_.release();

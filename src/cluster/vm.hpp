@@ -8,11 +8,11 @@
 // is designed around.
 //
 // Slice ownership: each running computation is a Slice that lives in its
-// compute() frame, with its Signal by value; the VM lists the running slices
-// by raw pointer in start order, and the timer that ends a slice captures
-// only that pointer.  fail() interrupts the listed slices newest-first (the
-// reverse of start order): that order is defined here because the wake-ups
-// it schedules decide the order of the requeues that follow.
+// compute() frame, with its Signal by value, and is itself the timer that
+// ends it; the VM lists the running slices by raw pointer in start order.
+// fail() interrupts the listed slices newest-first (the reverse of start
+// order): that order is defined here because the wake-ups it schedules
+// decide the order of the requeues that follow.
 #pragma once
 
 #include <cstdint>
@@ -105,11 +105,11 @@ class Vm {
   SimTime core_seconds_used() const { return core_seconds_used_; }
 
  private:
-  struct Slice {
-    explicit Slice(sim::Simulation& sim) : signal(sim) {}
-    bool done = false;
+  /// Armed until it ends: by its own fire, or by fail() (ok = false).
+  struct Slice final : sim::Timer {
+    explicit Slice(sim::Simulation& sim) : Timer(sim), signal(sim) {}
+    void fire() override { signal.trigger(); }
     bool ok = true;
-    sim::EventQueue::Handle timer;
     sim::Signal signal;
   };
 

@@ -328,7 +328,6 @@ RunReport FriedaRun::run() {
     m.gauge("sim.events_scheduled").set(static_cast<double>(qc.scheduled));
     m.gauge("sim.events_cancelled").set(static_cast<double>(qc.cancelled));
     m.gauge("sim.events_fired").set(static_cast<double>(qc.fired));
-    m.gauge("sim.event_slots_reused").set(static_cast<double>(qc.slots_reused));
   }
   return report;
 }

@@ -564,14 +564,13 @@ void Network::drain_sift(std::size_t pos) {
 
 void Network::arm_drain_event() {
   if (drain_queue_.empty()) {
-    if (drain_event_.pending()) sim_.cancel(drain_event_);
+    drain_event_.disarm();
   } else {
     const DrainEntry& top = drain_queue_.front();
-    if (!drain_event_.pending() || armed_seq_ != top.seq) {
+    if (!drain_event_.armed() || armed_seq_ != top.seq) {
       // The top left or moved earlier: the event follows it.
-      if (drain_event_.pending()) sim_.cancel(drain_event_);
       armed_seq_ = top.seq;
-      drain_event_ = sim_.schedule_at(top.fire, [this] { on_drain_event(); });
+      drain_event_.arm_at(top.fire);
     }
   }
   if (differential_check_) audit_drain_schedule();
@@ -698,9 +697,9 @@ void Network::audit_drain_schedule() const {
     FRIEDA_CHECK(!drain_queue_[i].before(drain_queue_[(i - 1) / 2]),
                  "drain schedule: heap order broken at " << i);
   }
-  FRIEDA_CHECK(drain_event_.pending() == !drain_queue_.empty(),
+  FRIEDA_CHECK(drain_event_.armed() == !drain_queue_.empty(),
                "drain schedule: simulation event "
-                   << (drain_event_.pending() ? "armed for an empty schedule" : "not armed"));
+                   << (drain_event_.armed() ? "armed for an empty schedule" : "not armed"));
   FRIEDA_CHECK(drain_queue_.empty() || armed_seq_ == drain_queue_.front().seq,
                "drain schedule: simulation event is not armed at the heap top");
 }

@@ -340,8 +340,8 @@ class Network {
   // ---- drain schedule ----
   std::vector<DrainEntry> drain_queue_;  ///< binary min-heap by DrainEntry::before
   std::uint64_t next_drain_seq_ = 0;
-  sim::EventQueue::Handle drain_event_;  ///< armed at the heap top
-  std::uint64_t armed_seq_ = 0;          ///< seq of the entry drain_event_ serves
+  sim::MemberTimer<Network, &Network::on_drain_event> drain_event_{sim_, *this};  ///< at the top
+  std::uint64_t armed_seq_ = 0;  ///< seq of the entry drain_event_ serves
 
   std::vector<NodeTraffic> traffic_;  ///< indexed by node id (dense hot path)
   Counters counters_;

@@ -11,9 +11,10 @@ namespace frieda::sim {
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() {
-  // Roots still suspended (blocked forever, or cut off by stop() or an
-  // exception) are destroyed here, while the queue their frames may refer
-  // to is still alive.
+  // Detach the timers still queued (one-shots free themselves), then destroy
+  // the roots still suspended (blocked forever, or cut off by stop() or an
+  // exception) while the queue their frames may refer to is alive.
+  queue_.clear();
   while (root_list_ != nullptr) {
     detail::RootLink* root = root_list_;
     root_list_ = root->next;
@@ -22,6 +23,7 @@ Simulation::~Simulation() {
         static_cast<Task<>::promise_type&>(*root))
         .destroy();
   }
+  queue_.clear();  // whatever those frames queued as they went
 }
 
 namespace detail {
@@ -40,19 +42,16 @@ void finish_root(RootLink& root, const std::exception_ptr& error) noexcept {
 
 }  // namespace detail
 
-EventQueue::Handle Simulation::schedule_at(SimTime t, EventQueue::Callback fn) {
-  // Every callback enters the queue here, every resumption in resume_in().
-  // An infinite time would move the clock to infinity, where no delay
-  // advances it again.
+void Timer::arm_at(SimTime t) {
+  // Every timer enters the queue here, every resumption in resume_in().  An
+  // infinite time would park the clock where no delay advances it again.
   FRIEDA_CHECK(std::isfinite(t), "event time must be finite (got " << t << ")");
-  return queue_.push(std::max(t, now_), std::move(fn));
+  sim_.queue_.arm(*this, std::max(t, sim_.now_));
 }
 
-EventQueue::Handle Simulation::schedule_in(SimTime dt, EventQueue::Callback fn) {
-  return schedule_at(now_ + std::max(dt, 0.0), std::move(fn));
-}
+void Timer::disarm() { if (armed()) sim_.queue_.disarm(*this); }
 
-void Simulation::cancel(EventQueue::Handle& h) { queue_.cancel(h); }
+Timer::~Timer() { if (entries_ != 0) sim_.queue_.forget(*this); }
 
 void Simulation::resume_in(SimTime dt, std::coroutine_handle<> h) {
   const SimTime t = now_ + std::max(dt, 0.0);
@@ -82,28 +81,23 @@ void Simulation::spawn(Task<> task, const char* name) {
 void Simulation::dispatch_one() {
   auto event = queue_.pop();
   now_ = event.time;
-  ++events_processed_;
   event.fire();
+}
+
+void Simulation::rethrow_first_error() {
+  if (first_error_) std::rethrow_exception(std::exchange(first_error_, nullptr));
 }
 
 void Simulation::run() {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) dispatch_one();
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  rethrow_first_error();
 }
 
 bool Simulation::run_until(SimTime t) {
   stopped_ = false;
   while (!stopped_ && !queue_.empty() && queue_.next_time() <= t) dispatch_one();
-  if (first_error_) {
-    auto err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  rethrow_first_error();
   now_ = std::max(now_, t);
   return !queue_.empty();
 }

@@ -3,20 +3,26 @@
 // A Simulation owns an EventQueue and the root coroutine processes that are
 // still suspended.  A root destroys its own frame when it finishes; the
 // Simulation links the live ones on an intrusive list (no allocation per
-// root) and destroys those still suspended when it goes away.  All wake-ups
-// in the system (delays, channel deliveries, signal triggers, spawns) enter
-// the event queue as resumptions through resume_in(), so same-time events
-// execute in FIFO order and every run is deterministic for a given seed.
+// root) and destroys those still suspended when it goes away.  An event is a
+// resumption through resume_in() (delays, channel deliveries, signal
+// triggers, spawns) or a Timer armed by its owner (timer.hpp); schedule_at()
+// is a timer that owns itself.  Same-time events execute in push order, so
+// every run is deterministic for a given seed.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
+#include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
+#include "sim/timer.hpp"
 
 namespace frieda::sim {
 
@@ -33,16 +39,21 @@ class Simulation {
   /// Current virtual time in seconds.
   SimTime now() const { return now_; }
 
-  /// Schedule a callback at absolute virtual time `t` (clamped to now()).
-  /// Throws FriedaError when `t` is not finite.
-  EventQueue::Handle schedule_at(SimTime t, EventQueue::Callback fn);
+  /// Call `fn()` once at absolute virtual time `t` (clamped to now()); it
+  /// cannot be cancelled.  Throws FriedaError when `t` is not finite.
+  template <typename F>
+  void schedule_at(SimTime t, F&& fn) {
+    auto shot = std::make_unique<OneShot<std::decay_t<F>>>(*this, std::forward<F>(fn));
+    shot->arm_at(t);
+    shot.release();  // the queue's entry owns it now
+  }
 
-  /// Schedule a callback `dt` seconds from now (dt clamped to >= 0).
+  /// Call `fn()` `dt` seconds from now (dt clamped to >= 0), once.
   /// Throws FriedaError when `dt` is +infinity or NaN.
-  EventQueue::Handle schedule_in(SimTime dt, EventQueue::Callback fn);
-
-  /// Cancel a previously scheduled callback.
-  void cancel(EventQueue::Handle& h);
+  template <typename F>
+  void schedule_in(SimTime dt, F&& fn) {
+    schedule_at(now_ + std::max(dt, 0.0), std::forward<F>(fn));
+  }
 
   /// Resume `h` `dt` seconds from now (dt clamped to >= 0): the one entry
   /// point for every resumption (delays, wakes, spawns).  A resumption due
@@ -68,9 +79,9 @@ class Simulation {
   void stop() { stopped_ = true; }
 
   /// Number of events dispatched so far.
-  std::uint64_t events_processed() const { return events_processed_; }
+  std::uint64_t events_processed() const { return queue_.counters().fired; }
 
-  /// Event-queue activity counters (scheduled/cancelled/fired/pool reuse);
+  /// Event-queue activity counters (scheduled/cancelled/fired);
   /// snapshot these into an obs::MetricsRegistry for run reports.
   const EventQueue::Counters& event_counters() const { return queue_.counters(); }
 
@@ -95,13 +106,27 @@ class Simulation {
 
  private:
   friend void detail::finish_root(detail::RootLink&, const std::exception_ptr&) noexcept;
+  friend class Timer;
+
+  /// The timer behind schedule_at(): it owns the callable and frees itself
+  /// once fired, or when the Simulation goes away first.
+  template <typename F>
+  struct OneShot final : Timer {
+    OneShot(Simulation& sim, F f) : Timer(sim), fn(std::move(f)) {}
+    void fire() override {
+      const std::unique_ptr<OneShot> self(this);
+      fn();
+    }
+    void abandon() override { delete this; }
+    F fn;
+  };
 
   void dispatch_one();
+  void rethrow_first_error();
 
   EventQueue queue_;
   SimTime now_ = 0.0;
   bool stopped_ = false;
-  std::uint64_t events_processed_ = 0;
   Rng rng_;
 
   detail::RootLink* root_list_ = nullptr;  ///< live roots, newest first

@@ -48,6 +48,7 @@ void SharedService::advance() {
 }
 
 void SharedService::reschedule() {
+  advance();  // a no-op after submit()'s own advance
   const double prev_share =
       ops_.empty() ? rate_ : rate_ / static_cast<double>(ops_.size());
   std::size_t kept = 0;  // compact the live ops to the front, in order
@@ -63,16 +64,14 @@ void SharedService::reschedule() {
   }
   ops_.resize(kept);
 
-  if (completion_event_.pending()) sim_.cancel(completion_event_);
-  if (ops_.empty()) return;
-
+  if (ops_.empty()) {
+    completion_.disarm();
+    return;
+  }
   const double share = rate_ / static_cast<double>(ops_.size());
   double soonest = std::numeric_limits<double>::infinity();
   for (const Op* op : ops_) soonest = std::min(soonest, op->remaining / share);
-  completion_event_ = sim_.schedule_in(std::max(soonest, kMinTimeStep), [this] {
-    advance();
-    reschedule();
-  });
+  completion_.arm_at(sim_.now() + std::max(soonest, kMinTimeStep));
 }
 
 void SharedService::fail() {
@@ -86,7 +85,7 @@ void SharedService::fail() {
     op->signal.trigger();
   }
   ops_.clear();
-  if (completion_event_.pending()) sim_.cancel(completion_event_);
+  completion_.disarm();
 }
 
 void SharedService::restore() { failed_ = false; }

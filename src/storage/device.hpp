@@ -13,7 +13,7 @@
 // SharedService keeps no heap state per operation: each Op (with its Signal)
 // lives in its submit() frame, the service lists the in-flight ops by raw
 // pointer in submission order, and finished ops are compacted out of that
-// list in place.
+// list in place.  One embedded timer stands for the soonest completion.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +61,7 @@ class SharedService {
   };
 
   void advance();
+  /// Advance, retire finished ops and re-arm the completion for the rest.
   void reschedule();
 
   sim::Simulation& sim_;
@@ -68,7 +69,7 @@ class SharedService {
   bool failed_ = false;
   std::vector<Op*> ops_;  ///< in-flight ops, in submission order
   SimTime last_advance_ = 0.0;
-  sim::EventQueue::Handle completion_event_;
+  sim::MemberTimer<SharedService, &SharedService::reschedule> completion_{sim_, *this};
 };
 
 /// VM-local disk: fast, small, dies with the VM.

@@ -4,82 +4,152 @@
 
 #include <algorithm>
 #include <coroutine>
+#include <deque>
+#include <memory>
+#include <optional>
 #include <random>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "sim/simulation.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
+#include "sim/timer.hpp"
 
 namespace frieda::sim {
 namespace {
 
+/// A timer that logs its label when it fires, and can stop the run there
+/// so that Simulation::run() executes exactly one event.
+struct LogTimer final : Timer {
+  LogTimer(Simulation& simulation, std::vector<int>& out, int id, bool step = false)
+      : Timer(simulation), sim(simulation), log(out), label(id), stop(step) {}
+  void fire() override {
+    log.push_back(label);
+    if (stop) sim.stop();
+  }
+  Simulation& sim;
+  std::vector<int>& log;
+  int label;
+  bool stop;
+};
+
+/// Live events, from the queue's counters.
+std::uint64_t live(const EventQueue::Counters& c) { return c.scheduled - c.fired - c.cancelled; }
+std::uint64_t live(const EventQueue& q) { return live(q.counters()); }
+std::uint64_t live(const Simulation& sim) { return live(sim.event_counters()); }
+
 TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
+  Simulation sim;
   std::vector<int> order;
-  q.push(3.0, [&] { order.push_back(3); });
-  q.push(1.0, [&] { order.push_back(1); });
-  q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fire();
+  LogTimer a(sim, order, 3), b(sim, order, 1), c(sim, order, 2);
+  a.arm_at(3.0);
+  b.arm_at(1.0);
+  c.arm_at(2.0);
+  sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, FifoAtEqualTimes) {
-  EventQueue q;
+  Simulation sim;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) q.push(5.0, [&order, i] { order.push_back(i); });
-  while (!q.empty()) q.pop().fire();
+  std::deque<LogTimer> timers;
+  for (int i = 0; i < 10; ++i) timers.emplace_back(sim, order, i).arm_at(5.0);
+  sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+// Resumptions need real coroutine frames: each one appends its label to a
+// log when resumed (and stops `sim`, when given one), then parks at its
+// final suspend point.
+Task<> log_label(std::vector<int>& log, int label, Simulation* sim) {
+  log.push_back(label);
+  if (sim != nullptr) sim->stop();
+  co_return;
+}
+
+/// Owns the released frames of never-spawned tasks.
+struct Frames {
+  std::vector<std::coroutine_handle<>> all;
+  std::coroutine_handle<> make(std::vector<int>& log, int label, Simulation* sim = nullptr) {
+    all.push_back(log_label(log, label, sim).release());
+    return all.back();
+  }
+  ~Frames() {
+    for (const auto h : all) h.destroy();
+  }
+};
+
 TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
-  q.push(4.25, [] {});
+  Frames frames;
+  std::vector<int> log;
+  q.push_resume(4.25, frames.make(log, 0));
   EXPECT_DOUBLE_EQ(q.next_time(), 4.25);
   EXPECT_DOUBLE_EQ(q.pop().time, 4.25);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  int fired = 0;
-  auto h = q.push(1.0, [&] { ++fired; });
-  q.push(2.0, [&] { ++fired; });
-  EXPECT_TRUE(h.pending());
-  q.cancel(h);
-  EXPECT_FALSE(h.pending());
-  while (!q.empty()) q.pop().fire();
-  EXPECT_EQ(fired, 1);
+TEST(EventQueue, DisarmSkipsEvent) {
+  Simulation sim;
+  std::vector<int> log;
+  LogTimer a(sim, log, 1), b(sim, log, 2);
+  a.arm_at(1.0);
+  b.arm_at(2.0);
+  EXPECT_TRUE(a.armed());
+  a.disarm();
+  EXPECT_FALSE(a.armed());
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{2}));
 }
 
-TEST(EventQueue, CancelIsIdempotent) {
-  EventQueue q;
-  auto h = q.push(1.0, [] {});
-  q.cancel(h);
-  q.cancel(h);  // no-op
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
+TEST(EventQueue, DisarmIsIdempotent) {
+  Simulation sim;
+  std::vector<int> log;
+  LogTimer a(sim, log, 1);
+  a.arm_at(1.0);
+  a.disarm();
+  a.disarm();  // no-op
+  EXPECT_EQ(sim.event_counters().cancelled, 1u);
+  EXPECT_EQ(live(sim), 0u);
+  EXPECT_FALSE(sim.run_until(10.0));
+  EXPECT_TRUE(log.empty());
 }
 
-TEST(EventQueue, CancelAllLeavesEmpty) {
-  EventQueue q;
-  std::vector<EventQueue::Handle> handles;
-  for (int i = 0; i < 5; ++i) handles.push_back(q.push(1.0 * i, [] {}));
-  for (auto& h : handles) q.cancel(h);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
+TEST(EventQueue, DisarmAllLeavesEmpty) {
+  Simulation sim;
+  std::vector<int> log;
+  std::deque<LogTimer> timers;
+  for (int i = 0; i < 5; ++i) timers.emplace_back(sim, log, i).arm_at(1.0 * i);
+  for (auto& t : timers) t.disarm();
+  EXPECT_EQ(live(sim), 0u);
+  EXPECT_FALSE(sim.run_until(10.0));
+  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  auto a = q.push(1.0, [] {});
-  auto b = q.push(2.0, [] {});
-  EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
-  q.pop();
-  EXPECT_EQ(q.size(), 0u);
-  (void)b;
+  Frames frames;
+  std::vector<int> log;
+  q.push_resume(1.0, frames.make(log, 0));
+  q.push_resume_now(0.0, frames.make(log, 1));
+  EXPECT_EQ(live(q), 2u);
+  q.pop().fire();
+  EXPECT_EQ(live(q), 1u);
+  EXPECT_FALSE(q.empty());
+  // With timers: a re-arm keeps one live event, a disarm removes it.
+  Simulation sim;
+  LogTimer a(sim, log, 2), b(sim, log, 3);
+  a.arm_at(1.0);
+  b.arm_at(2.0);
+  EXPECT_EQ(live(sim), 2u);
+  a.arm_at(3.0);
+  EXPECT_EQ(live(sim), 2u);
+  a.disarm();
+  EXPECT_EQ(live(sim), 1u);
+  sim.run();
+  EXPECT_EQ(live(sim), 0u);
 }
 
 TEST(EventQueue, PopOnEmptyThrows) {
@@ -88,99 +158,98 @@ TEST(EventQueue, PopOnEmptyThrows) {
   EXPECT_THROW(q.next_time(), FriedaError);
 }
 
-TEST(EventQueue, HandleOutlivesFiredEvent) {
-  EventQueue q;
-  auto h = q.push(1.0, [] {});
-  q.pop().fire();
-  EXPECT_FALSE(h.pending());
-  q.cancel(h);  // safe after fire
+TEST(EventQueue, TimerIsDisarmedOnceFiredAndReArms) {
+  Simulation sim;
+  std::vector<int> log;
+  LogTimer a(sim, log, 1);
+  a.arm_at(1.0);
+  sim.run();
+  EXPECT_FALSE(a.armed());
+  a.disarm();  // a no-op after the fire
+  EXPECT_EQ(sim.event_counters().cancelled, 0u);
+  a.arm_at(2.0);
+  EXPECT_TRUE(a.armed());
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 1}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
-TEST(EventQueue, ConstQueriesWork) {
-  EventQueue q;
-  auto a = q.push(1.0, [] {});
-  q.push(2.0, [] {});
-  q.cancel(a);  // leaves a tombstone at the heap top
-  const EventQueue& cq = q;
-  EXPECT_FALSE(cq.empty());
-  EXPECT_DOUBLE_EQ(cq.next_time(), 2.0);
-  EXPECT_EQ(cq.size(), 1u);
+TEST(EventQueue, StaleTopIsSkippedByQueries) {
+  Simulation sim;
+  std::vector<int> log;
+  LogTimer a(sim, log, 1), b(sim, log, 2);
+  a.arm_at(1.0);
+  b.arm_at(2.0);
+  a.disarm();  // leaves a stale entry at the heap top
+  EXPECT_TRUE(sim.run_until(1.5));
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(live(sim), 1u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{2}));
 }
 
-TEST(EventQueue, StaleHandleStaysDeadAfterSlotReuse) {
-  // Cancelling frees the pooled slot; a later push recycles it with a new
-  // generation, so the old handle must not resurrect.
-  EventQueue q;
-  auto old = q.push(1.0, [] {});
-  q.cancel(old);
-  auto fresh = q.push(3.0, [] {});  // reuses the freed slot
-  EXPECT_FALSE(old.pending());
-  EXPECT_TRUE(fresh.pending());
-  q.cancel(old);  // must not cancel the recycled event
-  EXPECT_TRUE(fresh.pending());
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_DOUBLE_EQ(q.pop().time, 3.0);
-  EXPECT_FALSE(fresh.pending());
+TEST(EventQueue, StaleEntryStaysDeadAfterReArm) {
+  // Disarming leaves an entry at t = 1 and moving leaves one at t = 5; the
+  // timer, armed again at t = 3, must fire there once and nowhere else.
+  Simulation sim;
+  std::vector<int> log;
+  LogTimer a(sim, log, 1);
+  a.arm_at(1.0);
+  a.disarm();
+  a.arm_at(5.0);
+  a.arm_at(3.0);
+  EXPECT_TRUE(a.armed());
+  EXPECT_EQ(live(sim), 1u);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1}));
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_FALSE(a.armed());
 }
 
-TEST(EventQueue, SlabChurnKeepsDeterministicOrder) {
-  // Heavy push/cancel/pop churn (the network's cancel-and-reschedule
-  // pattern): ordering must remain (time, push sequence) FIFO throughout.
-  EventQueue q;
+TEST(EventQueue, TimerChurnKeepsDeterministicOrder) {
+  // Heavy arm/disarm churn on one timer (the network's move-the-drain-event
+  // pattern) among one-shots: ordering must remain (time, push sequence)
+  // FIFO throughout, and no stale entry may fire.
+  Simulation sim;
   std::vector<int> order;
-  std::vector<EventQueue::Handle> cancelled;
+  std::vector<int> churn_log;
+  LogTimer churn(sim, churn_log, -1);
   for (int round = 0; round < 50; ++round) {
-    cancelled.push_back(q.push(1000.0, [] { FAIL() << "cancelled event fired"; }));
-    q.push(static_cast<double>(round % 7), [&order, round] { order.push_back(round); });
-    q.cancel(cancelled.back());
+    churn.arm_at(1000.0 - round);
+    sim.schedule_at(static_cast<double>(round % 7), [&order, round] { order.push_back(round); });
+    churn.disarm();
   }
   std::vector<int> expected;
   for (int round = 0; round < 50; ++round) expected.push_back(round);
   std::stable_sort(expected.begin(), expected.end(),
                    [](int a, int b) { return a % 7 < b % 7; });
-  while (!q.empty()) q.pop().fire();
+  sim.run();
   EXPECT_EQ(order, expected);
-  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(churn_log.empty());
+  EXPECT_EQ(live(sim), 0u);
 }
 
-// Resumptions need real coroutine frames: each one appends its label to a
-// log when resumed, then parks at its final suspend point.
-Task<> log_label(std::vector<int>& log, int label) {
-  log.push_back(label);
-  co_return;
-}
-
-/// Owns the released frames of never-spawned tasks.
-struct Frames {
-  std::vector<std::coroutine_handle<>> all;
-  std::coroutine_handle<> make(std::vector<int>& log, int label) {
-    all.push_back(log_label(log, label).release());
-    return all.back();
-  }
-  ~Frames() {
-    for (const auto h : all) h.destroy();
-  }
-};
-
-TEST(EventQueue, ResumptionsTakeNoSlot) {
-  EventQueue q;
+TEST(EventQueue, TimersAndResumptionsShareOneOrderAndCounters) {
+  Simulation sim;
   Frames frames;
   std::vector<int> log;
-  q.push(1.0, [&] { log.push_back(0); });
-  q.push_resume(1.0, frames.make(log, 1));
-  q.push_resume_now(0.0, frames.make(log, 2));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 0.0);
-  while (!q.empty()) q.pop().fire();
+  LogTimer timer(sim, log, 0);
+  timer.arm_at(1.0);
+  sim.resume_in(1.0, frames.make(log, 1));
+  sim.resume_in(0.0, frames.make(log, 2));
+  EXPECT_EQ(live(sim), 3u);
+  EXPECT_FALSE(sim.run_until(1.0));
   EXPECT_EQ(log, (std::vector<int>{2, 0, 1}));
-  q.push(2.0, [] {});  // recycles the one callback slot
-  q.push_resume(2.0, frames.make(log, 3));
-  q.push_resume_now(1.0, frames.make(log, 4));
-  while (!q.empty()) q.pop().fire();
-  const auto& c = q.counters();
+  timer.arm_at(2.0);  // the same timer again: no new storage
+  sim.resume_in(1.0, frames.make(log, 3));
+  sim.resume_in(0.0, frames.make(log, 4));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{2, 0, 1, 4, 0, 3}));
+  const auto& c = sim.event_counters();
   EXPECT_EQ(c.scheduled, 6u);
   EXPECT_EQ(c.fired, 6u);
-  EXPECT_EQ(c.slots_reused, 1u);
+  EXPECT_EQ(c.cancelled, 0u);
 }
 
 TEST(EventQueue, DueNowFifoKeepsOrderAcrossWrapAndGrowth) {
@@ -199,72 +268,162 @@ TEST(EventQueue, DueNowFifoKeepsOrderAcrossWrapAndGrowth) {
 }
 
 TEST(EventQueue, MixedKindsPopInReferenceOrder) {
-  // Differential test: random mixes of callbacks, timed resumptions,
-  // due-now resumptions, cancels and pops, checked against a reference
-  // that sorts every live event by (time, push order).
-  enum class Kind { kCallback, kTimed, kDueNow };
+  // Differential test: random mixes of timer arms, re-arms and disarms,
+  // one-shots, timed resumptions, due-now resumptions and single-event
+  // steps, checked against a reference that sorts every live event by
+  // (time, push order).  Every action stops the run, so each run() is one
+  // step.
   struct Ref {
     SimTime time;
     int label;  // push order
-    Kind kind;
     bool live;
-    EventQueue::Handle handle;
   };
+  constexpr int kTimers = 6;
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     std::mt19937 rng(seed);
     auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
-    EventQueue q;
-    Frames frames;
+    Simulation sim;
     std::vector<int> log;
     std::vector<Ref> ref;
-    SimTime now = 0.0;
-    std::size_t live = 0;
-    // Pushes outnumber pops early on, then pops drain the queue.
-    for (int step = 0; step < 3000 || live > 0; ++step) {
-      const int action = step < 3000 ? pick(10) : 9;
-      const SimTime later = now + 0.5 * pick(4);  // coarse, so times tie often
+    std::deque<LogTimer> timers;
+    std::vector<int> timer_ref(kTimers, -1);  // reference entry of each armed timer
+    for (int i = 0; i < kTimers; ++i) timers.emplace_back(sim, log, -1, true);
+    Frames frames;
+    std::uint64_t expected_live = 0;
+    // Pushes outnumber steps early on, then steps drain the queue.
+    for (int step = 0; step < 3000 || expected_live > 0; ++step) {
+      const int action = step < 3000 ? pick(12) : 11;
+      const SimTime dt = 0.5 * pick(4);  // coarse, so times tie often
+      const SimTime later = sim.now() + dt;
       const int label = static_cast<int>(ref.size());
-      if (action <= 1) {
-        auto h = q.push(later, [&log, label] { log.push_back(label); });
-        ref.push_back({later, label, Kind::kCallback, true, h});
-        ++live;
-      } else if (action <= 3) {
-        q.push_resume(later, frames.make(log, label));
-        ref.push_back({later, label, Kind::kTimed, true, {}});
-        ++live;
-      } else if (action <= 5) {
-        q.push_resume_now(now, frames.make(log, label));
-        ref.push_back({now, label, Kind::kDueNow, true, {}});
-        ++live;
-      } else if (action == 6 && !ref.empty()) {
-        Ref& victim = ref[pick(static_cast<int>(ref.size()))];
-        if (victim.kind == Kind::kCallback && victim.live) {
-          q.cancel(victim.handle);
-          victim.live = false;
-          --live;
+      if (action <= 2) {  // arm or re-arm a timer
+        const int i = pick(kTimers);
+        if (timers[i].armed()) {
+          ref[timer_ref[i]].live = false;
+          --expected_live;
         }
-      } else if (live > 0) {
+        timers[i].label = label;
+        timers[i].arm_at(later);
+        timer_ref[i] = label;
+        ref.push_back({later, label, true});
+        ++expected_live;
+      } else if (action == 3) {  // disarm a timer
+        const int i = pick(kTimers);
+        if (timers[i].armed()) {
+          ref[timer_ref[i]].live = false;
+          --expected_live;
+        }
+        timers[i].disarm();
+      } else if (action == 4) {  // a one-shot
+        sim.schedule_at(later, [&sim, &log, label] {
+          log.push_back(label);
+          sim.stop();
+        });
+        ref.push_back({later, label, true});
+        ++expected_live;
+      } else if (action <= 6) {  // a resumption, due now when dt == 0
+        sim.resume_in(dt, frames.make(log, label, &sim));
+        ref.push_back({later, label, true});
+        ++expected_live;
+      } else if (action <= 8) {  // a due-now resumption
+        sim.resume_in(0.0, frames.make(log, label, &sim));
+        ref.push_back({sim.now(), label, true});
+        ++expected_live;
+      } else if (expected_live > 0) {  // one step
         const auto next = std::min_element(ref.begin(), ref.end(), [](const Ref& a, const Ref& b) {
           return std::make_tuple(!a.live, a.time, a.label) <
                  std::make_tuple(!b.live, b.time, b.label);
         });
-        ASSERT_DOUBLE_EQ(q.next_time(), next->time) << "seed " << seed << " step " << step;
-        auto event = q.pop();
-        ASSERT_DOUBLE_EQ(event.time, next->time);
-        event.fire();
-        ASSERT_FALSE(log.empty());
+        const std::size_t fired_before = log.size();
+        sim.run();
+        ASSERT_EQ(log.size(), fired_before + 1) << "seed " << seed << " step " << step;
         ASSERT_EQ(log.back(), next->label) << "seed " << seed << " step " << step;
+        ASSERT_DOUBLE_EQ(sim.now(), next->time);
         next->live = false;
-        --live;
-        now = event.time;
+        --expected_live;
       }
-      ASSERT_EQ(q.size(), live);
+      ASSERT_EQ(live(sim), expected_live) << "seed " << seed << " step " << step;
     }
-    EXPECT_TRUE(q.empty());
-    const auto fired = static_cast<std::uint64_t>(log.size());
-    EXPECT_EQ(q.counters().fired, fired);
-    EXPECT_EQ(q.counters().scheduled, fired + q.counters().cancelled);
+    const auto& c = sim.event_counters();
+    EXPECT_EQ(c.fired, static_cast<std::uint64_t>(log.size()));
+    EXPECT_EQ(c.scheduled, c.fired + c.cancelled);
   }
+}
+
+// Lifetime: no queue entry may be used after its timer is gone.  These run
+// under the sanitizer presets too, which report any such use.
+
+TEST(Timer, OwnerDestroyedWhileArmedLeavesTheRunGoing) {
+  Simulation sim;
+  std::vector<int> log;
+  auto doomed = std::make_unique<LogTimer>(sim, log, 1);
+  LogTimer kept(sim, log, 2);
+  doomed->arm_at(2.0);
+  doomed->arm_at(2.5);  // a stale entry at 2.0 and a live one at 2.5
+  kept.arm_at(3.0);
+  sim.schedule_at(1.0, [&] { doomed.reset(); });
+  sim.schedule_at(4.0, [&] { kept.arm_at(5.0); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{2, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  const auto& c = sim.event_counters();
+  EXPECT_EQ(c.cancelled, 2u);  // the move and the destruction
+  EXPECT_EQ(c.scheduled, c.fired + c.cancelled);
+}
+
+TEST(Timer, OwnerDestroyedWithOnlyStaleEntries) {
+  Simulation sim;
+  std::vector<int> log;
+  auto timer = std::make_unique<LogTimer>(sim, log, 1);
+  timer->arm_at(5.0);
+  timer->arm_at(4.0);
+  timer->arm_at(1.0);  // stale entries stay at 4 and 5
+  EXPECT_FALSE(sim.run_until(1.0));  // stale entries are not live events
+  EXPECT_EQ(log, (std::vector<int>{1}));
+  EXPECT_FALSE(timer->armed());
+  timer.reset();
+  LogTimer other(sim, log, 2);
+  other.arm_at(6.0);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 6.0);
+}
+
+TEST(Timer, SimulationDestroyedWithOneShotsQueued) {
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  std::vector<int> log;
+  std::optional<LogTimer> outlives;  // declared first: destroyed after the Simulation
+  {
+    Simulation sim;
+    outlives.emplace(sim, log, 1);
+    outlives->arm_at(2.0);
+    sim.schedule_at(1.0, [token] { FAIL() << "one-shot fired"; });
+    sim.schedule_in(3.0, [token] { FAIL() << "one-shot fired"; });
+    token.reset();
+    EXPECT_FALSE(watch.expired());  // the one-shots hold the last copies
+  }
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(outlives->armed());
+  EXPECT_TRUE(log.empty());
+}
+
+Task<> sleep_on_armed_timer(Simulation& sim, Signal& never, std::vector<int>& log) {
+  LogTimer timer(sim, log, 1);
+  timer.arm_at(10.0);
+  co_await never.wait();
+}
+
+TEST(Timer, SuspendedFrameWithArmedTimerIsDestroyedWithItsSimulation) {
+  std::vector<int> log;
+  {
+    Simulation sim;
+    Signal never(sim);
+    sim.spawn(sleep_on_armed_timer(sim, never, log));
+    EXPECT_TRUE(sim.run_until(1.0));
+    EXPECT_EQ(sim.live_processes(), 1u);
+  }
+  EXPECT_TRUE(log.empty());
 }
 
 }  // namespace

@@ -642,7 +642,6 @@ TEST(RunMetricsExport, FaultRunsExportPinnedCounters) {
             "run.isolations,counter,2\n"
             "run.master_crashes,counter,1\n"
             "run.requeues,counter,12\n"
-            "sim.event_slots_reused,gauge,48\n"
             "sim.events_cancelled,gauge,0\n"
             "sim.events_fired,gauge,263\n"
             "sim.events_scheduled,gauge,263\n");
